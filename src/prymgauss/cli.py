@@ -92,8 +92,7 @@ def cmd_rank(args) -> int:
     started = time.perf_counter()
     genus, convention, a1, a2, source = _resolve_params(args, args.genus)
     curve = build_curve(genus, a1, a2, convention)
-    matrix = assemble_matrix(curve)
-    cert = certify(matrix, policy=args.policy, seed=args.seed)
+    cert = certify(curve, policy=args.policy, seed=args.seed)
     payload = _envelope(args, "rank", **_curve_fields(curve),
                         param_source=source,
                         certificate=cert.to_json_dict(with_timing=not args.no_timing))
@@ -118,7 +117,7 @@ def cmd_sweep(args) -> int:
             getattr(args, "params", None) or args.paper_params) else args.seed
         genus_, convention, a1, a2, source = _resolve_params(case_args, genus)
         curve = build_curve(genus_, a1, a2, convention)
-        cert = certify(assemble_matrix(curve), policy=args.policy, seed=args.seed)
+        cert = certify(curve, policy=args.policy, seed=args.seed)
         all_maximal = all_maximal and cert.is_maximal
         rows.append({**_curve_fields(curve), "param_source": source,
                      "certificate": cert.to_json_dict(with_timing=not args.no_timing)})
@@ -308,7 +307,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

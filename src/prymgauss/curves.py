@@ -61,10 +61,7 @@ class PrymBinaryCurve:
         self.a1 = tuple(a1)
         self.a2 = tuple(a2)
         self.k = genus // 2
-        self.A1 = _product(self.a1)
         self.A2 = _product(self.a2)
-        self.d2 = Fraction(1)
-        self.d1 = -self.A1 / self.A2
         m1 = Poly.from_roots(self.a1)
         m2 = Poly.from_roots(self.a2)
         self.M = {1: m1, 2: m2}
@@ -79,8 +76,8 @@ class PrymBinaryCurve:
 
     # -- construction helpers ------------------------------------------
 
-    def _coeff_pair(self, i: int, eps: int) -> tuple[int, Fraction]:
-        """(delta_i, c_i) for the numerator factor delta_i*t - c_i."""
+    def coeff_pair(self, i: int, eps: int) -> tuple[int, Fraction]:
+        """(delta_i, c_i) for the numerator factor delta_i*t - c_i of alpha(i, eps)."""
         if i <= self.k:
             return 1, Fraction(0)
         if eps == 2:
@@ -91,14 +88,14 @@ class PrymBinaryCurve:
 
     def _build_alpha(self, i: int, eps: int) -> Poly:
         a = self.params(eps)[i - 1]
-        delta, c = self._coeff_pair(i, eps)
+        delta, c = self.coeff_pair(i, eps)
         base = self.M[eps].div_linear(a)
         return base * Poly((-c, delta))
 
     def _build_uchart(self, i: int, eps: int) -> Poly:
         params = self.params(eps)
         a = params[i - 1]
-        delta, c = self._coeff_pair(i, eps)
+        delta, c = self.coeff_pair(i, eps)
         # MM(u) = prod (1 - a_r u) is M with coefficients reversed.
         mm = Poly(tuple(reversed(self.M[eps].padded(self.genus))))
         # (1 - a u) = -a (u - 1/a); a is nonzero by the curve invariants.

@@ -96,20 +96,6 @@ class PrimeField:
             raise BadPrimeError(self.p)
         return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("zero is not invertible")
-        return pow(a, -1, self.p)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
@@ -293,18 +279,3 @@ class Poly:
             else:
                 terms.append(f"{format_rational(c)}*t^{d}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def poly_derivative(p: Poly) -> Poly:
-    """d p / d t, exactly."""
-    return p.derivative()
-
-
-def poly_from_roots(roots: Sequence[RationalLike]) -> Poly:
-    """Monic polynomial with the given roots (empty product is 1)."""
-    return Poly.from_roots(roots)
-
-
-def poly_div_linear(p: Poly, root: RationalLike) -> Poly:
-    """Exact quotient p / (t - root); ValueError if root is not a root of p."""
-    return p.div_linear(root)

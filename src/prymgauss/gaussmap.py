@@ -28,6 +28,13 @@ M/((t-a_i)(t-a_j)), a polynomial):
 
 The closed form is the independent cross-check of the Wronskian path; the
 assembler always uses the Wronskian (it is convention-independent).
+
+`assemble_mod_p` builds the image of the same map over Z/pZ without any
+rational arithmetic.  It samples each nu_{ij,h} at the 2g-3 points
+0..2g-4 (`evaluation_points`) instead of storing its coefficients, so its
+array equals reduce_p(M) * blockdiag(V, V, I), where V[d, k] = x_k^d is the
+Vandermonde matrix of the points.  V is invertible mod p (the points are
+distinct and p > 2g), so the rank mod p is the rank of reduce_p(M).
 """
 
 from __future__ import annotations
@@ -38,8 +45,10 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .curves import PrymBinaryCurve
-from .exact import Poly, format_rational, parse_rational
+from .exact import Poly, PrimeField, format_rational, parse_rational
 
 
 def row_pairs(genus: int) -> tuple[tuple[int, int], ...]:
@@ -164,6 +173,88 @@ def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
     return GaussMatrix(genus=g, convention=curve.convention, entries=tuple(rows))
 
 
+# -- modular image ------------------------------------------------------
+
+def evaluation_points(genus: int) -> tuple[int, ...]:
+    """The 2g-3 points at which `assemble_mod_p` samples each nu_{ij,h}."""
+    return tuple(range(2 * genus - 3))
+
+
+def _cofactors_mod_p(points: np.ndarray, roots: np.ndarray,
+                     p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q[k, i] = prod_{r != i} (x_k - roots_r) mod p, and dQ/dt at x_k.
+
+    Built from prefix and suffix products and their derivatives (product
+    rule), so nothing is divided and a point may equal a root.
+    """
+    diff = (points[:, None] - roots[None, :]) % p
+    m, n = diff.shape
+    pre = np.ones((m, n + 1), dtype=np.int64)
+    dpre = np.zeros((m, n + 1), dtype=np.int64)
+    suf = np.ones((m, n + 1), dtype=np.int64)
+    dsuf = np.zeros((m, n + 1), dtype=np.int64)
+    for r in range(n):
+        pre[:, r + 1] = pre[:, r] * diff[:, r] % p
+        dpre[:, r + 1] = (dpre[:, r] * diff[:, r] + pre[:, r]) % p
+        s = n - 1 - r
+        suf[:, s] = suf[:, s + 1] * diff[:, s] % p
+        dsuf[:, s] = (dsuf[:, s + 1] * diff[:, s] + suf[:, s + 1]) % p
+    q = pre[:, :n] * suf[:, 1:] % p
+    dq = (dpre[:, :n] * suf[:, 1:] % p + pre[:, :n] * dsuf[:, 1:] % p) % p
+    return q, dq
+
+
+def _antisymmetric(x: np.ndarray, y: np.ndarray, first: np.ndarray, second: np.ndarray,
+                   p: int) -> np.ndarray:
+    """x[:, i] y[:, j] - x[:, j] y[:, i] mod p for every pair (i, j), one row per pair."""
+    return ((x[:, first] * y[:, second] % p - x[:, second] * y[:, first] % p) % p).T
+
+
+def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
+    """The Gaussian-map matrix over Z/pZ in the evaluation basis (int64).
+
+    Column block h holds nu_{ij,h} at `evaluation_points`; the torsion
+    columns are those of `assemble_matrix`, reduced mod p.  Each value comes
+    from product formulas in the reduced parameters: alpha_i = Q_i (delta_i t
+    - c_i) with Q_i = M/(t - a_i), and the u-chart slope at P_{g+1} is
+    -delta_i (sum_r a_r - a_i) - c_i.
+
+    Raises BadPrimeError when a parameter a_r or a constant c_i has a
+    denominator divisible by p; every entry of the rational matrix is a
+    polynomial in those values, so otherwise none of its denominators is
+    divisible by p either.
+    """
+    g = curve.genus
+    field = PrimeField(p)
+    pairs = row_pairs(g)
+    first = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
+    second = np.array([j - 1 for _, j in pairs], dtype=np.intp)
+    samples = np.array(evaluation_points(g), dtype=np.int64)
+    width = len(samples)
+    node_derivs, slopes = [], []
+    out = np.empty((len(pairs), 5 * g - 5), dtype=np.int64)
+    for eps in (1, 2):
+        roots = np.array([field.reduce(a) for a in curve.params(eps)], dtype=np.int64)
+        constants = [curve.coeff_pair(i, eps) for i in range(1, g)]
+        delta = np.array([d for d, _ in constants], dtype=np.int64)
+        c = np.array([field.reduce(x) for _, x in constants], dtype=np.int64)
+        # Sample points first, then the interior nodes t = a_1..a_{g-1}, 0.
+        points = np.concatenate((samples, roots, [0]))
+        q, dq = _cofactors_mod_p(points, roots, p)
+        lin = (delta[None, :] * points[:, None] - c[None, :]) % p
+        alpha = q * lin % p
+        dalpha = (dq * lin % p + q * delta[None, :]) % p
+        out[:, (eps - 1) * width:eps * width] = _antisymmetric(
+            alpha[:width], dalpha[:width], first, second, p)
+        node_derivs.append(dalpha[width:])
+        slopes.append(((delta * (roots - int(roots.sum() % p)) - c) % p)[None, :])
+    # tau(i, j) = d1_j d2_i - d1_i d2_j, at P_1..P_g and at P_{g+1}.
+    tau = 2 * width
+    out[:, tau:tau + g] = _antisymmetric(node_derivs[1], node_derivs[0], first, second, p)
+    out[:, -1] = _antisymmetric(slopes[1], slopes[0], first, second, p)[:, 0]
+    return out
+
+
 # -- serialization ------------------------------------------------------
 #
 # JSON: {"genus", "convention", "layout", "rows": [[rational strings]]}.
@@ -175,6 +266,7 @@ def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
 
 _BIN_MAGIC = b"PGMX"
 _BIN_VERSION = 1
+_BIN_HEADER = struct.Struct("<BIBII")
 
 
 def matrix_to_json(matrix: GaussMatrix) -> str:
@@ -190,21 +282,30 @@ def matrix_to_json(matrix: GaussMatrix) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
+def _check_shape(genus, nrows: int, ncols: int) -> None:
+    """ValueError unless (nrows, ncols) is the matrix shape of a genus >= 3."""
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 3:
+        raise ValueError(f"matrix genus must be an integer >= 3, got {genus!r}")
+    expected = matrix_shape(genus)
+    if (nrows, ncols) != expected:
+        raise ValueError(f"matrix shape {(nrows, ncols)} does not match genus "
+                         f"{genus} (expected {expected})")
+
+
 def matrix_from_json(text: str) -> GaussMatrix:
     data = json.loads(text)
     entries = tuple(tuple(parse_rational(x) for x in row) for row in data["rows"])
     matrix = GaussMatrix(genus=data["genus"], convention=data["convention"], entries=entries)
-    expected = matrix_shape(matrix.genus)
-    if (matrix.rows, matrix.cols) != expected:
-        raise ValueError(f"matrix shape {(matrix.rows, matrix.cols)} does not match genus "
-                         f"{matrix.genus} (expected {expected})")
+    _check_shape(matrix.genus, matrix.rows, matrix.cols)
+    if any(len(row) != matrix.cols for row in entries):
+        raise ValueError("matrix rows differ in length")
     return matrix
 
 
 def matrix_to_bytes(matrix: GaussMatrix) -> bytes:
     flag = 0 if matrix.convention == "paper" else 1
-    out = [_BIN_MAGIC, struct.pack("<BIBII", _BIN_VERSION, matrix.genus, flag,
-                                   matrix.rows, matrix.cols)]
+    out = [_BIN_MAGIC, _BIN_HEADER.pack(_BIN_VERSION, matrix.genus, flag,
+                                        matrix.rows, matrix.cols)]
     for row in matrix.entries:
         for cell in row:
             text = format_rational(cell).encode("ascii")
@@ -214,21 +315,34 @@ def matrix_to_bytes(matrix: GaussMatrix) -> bytes:
 
 
 def matrix_from_bytes(blob: bytes) -> GaussMatrix:
+    """Parse a binary dump; ValueError unless it is exactly one whole matrix."""
     if blob[:4] != _BIN_MAGIC:
         raise ValueError("not a matrix dump (bad magic)")
-    version, genus, flag, nrows, ncols = struct.unpack_from("<BIBII", blob, 4)
+    offset = 4 + _BIN_HEADER.size
+    if len(blob) < offset:
+        raise ValueError(f"truncated matrix dump: {len(blob)} bytes, header needs {offset}")
+    version, genus, flag, nrows, ncols = _BIN_HEADER.unpack_from(blob, 4)
     if version != _BIN_VERSION:
         raise ValueError(f"unsupported matrix dump version {version}")
-    offset = 4 + struct.calcsize("<BIBII")
+    if flag not in (0, 1):
+        raise ValueError(f"unknown convention flag {flag} in matrix dump")
+    _check_shape(genus, nrows, ncols)
+    size = len(blob)
     rows = []
     for _ in range(nrows):
         row = []
         for _ in range(ncols):
-            (length,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            row.append(parse_rational(blob[offset:offset + length].decode("ascii")))
-            offset += length
+            start = offset + 4
+            if start > size:
+                raise ValueError(f"truncated matrix dump: cell length prefix at byte {offset}")
+            end = start + int.from_bytes(blob[offset:start], "little")
+            if end > size:
+                raise ValueError(f"truncated matrix dump: cell at byte {start} ends past {size}")
+            row.append(parse_rational(blob[start:end].decode("ascii")))
+            offset = end
         rows.append(tuple(row))
+    if offset != size:
+        raise ValueError(f"{size - offset} trailing bytes after the last matrix cell")
     return GaussMatrix(genus=genus, convention="paper" if flag == 0 else "script",
                        entries=tuple(rows))
 

@@ -91,7 +91,7 @@ def params_from_file(path: str | Path) -> tuple[int, str, tuple[Fraction, ...], 
         raw2 = data["a2"]
     except KeyError as exc:
         raise ParameterError(f"parameter file {path} is missing key {exc}") from exc
-    if not isinstance(genus, int):
+    if not isinstance(genus, int) or isinstance(genus, bool):
         raise ParameterError(f"genus must be a JSON integer, got {genus!r}")
     rows = []
     for name, raw in (("a1", raw1), ("a2", raw2)):

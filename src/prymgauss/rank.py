@@ -20,6 +20,13 @@ back to the exact path only when no modular run reaches the maximum;
 "exact" goes straight to Bareiss.  Runs are sequential, so certificates are
 identical no matter how callers schedule them; the seed fixes the prime
 sequence (offset into the fixed prime list).
+
+Given a curve rather than a matrix, `certify` is modular-first: at each
+prime it takes the image `gaussmap.assemble_mod_p`, which has the rank of
+the reduced rational matrix, and builds the rational matrix only when it is
+needed: for the exact policy, for the Bareiss fallback, or at a prime where
+the curve's data does not reduce.  Primes used, skipped primes, ranks and
+methods are the same as for `certify(assemble_matrix(curve))`.
 """
 
 from __future__ import annotations
@@ -27,17 +34,58 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .curves import PrymBinaryCurve
 from .exact import FIELD_PRIMES, BadPrimeError
+from .gaussmap import assemble_matrix, assemble_mod_p, matrix_shape
 
 
 def _entry_rows(matrix) -> Sequence[Sequence[Fraction]]:
     """Accept a GaussMatrix or any sequence of rational rows."""
     return matrix.entries if hasattr(matrix, "entries") else matrix
+
+
+def reduce_mod_p(matrix, p: int) -> np.ndarray:
+    """The matrix reduced mod p, as int64 residues in [0, p).
+
+    Raises BadPrimeError if p divides any entry denominator.
+    """
+    rows = _entry_rows(matrix)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows differ in length")
+    count = len(rows) * ncols
+    nums = np.fromiter((x.numerator % p for x in chain.from_iterable(rows)),
+                       dtype=np.int64, count=count)
+    dens = np.fromiter((x.denominator % p for x in chain.from_iterable(rows)),
+                       dtype=np.int64, count=count)
+    if not dens.all():
+        raise BadPrimeError(p)
+    nums *= _inverse_mod_p(dens, p)
+    nums %= p
+    return nums.reshape(len(rows), ncols)
+
+
+def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise values^(p-2) mod p, the inverse of each nonzero residue.
+
+    Overwrites `values`; in-place products keep the temporaries to one array.
+    """
+    result = np.ones_like(values)
+    e = p - 2
+    while e:
+        if e & 1:
+            result *= values
+            result %= p
+        values *= values
+        values %= p
+        e >>= 1
+    return result
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -46,23 +94,7 @@ def rank_mod_p(matrix, p: int) -> int:
     Raises BadPrimeError if p divides any entry denominator, in which case
     the caller should retry with the next prime.
     """
-    rows = _entry_rows(matrix)
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    arr = np.empty((nrows, ncols), dtype=np.int64)
-    inverses: dict[int, int] = {}
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            den = x.denominator % p
-            if den == 0:
-                raise BadPrimeError(p)
-            inv = inverses.get(den)
-            if inv is None:
-                inv = pow(den, -1, p)
-                inverses[den] = inv
-            arr[r, c] = (x.numerator % p) * inv % p
-    return _echelon_rank(arr, p)
+    return _echelon_rank(reduce_mod_p(matrix, p), p)
 
 
 def _echelon_rank(arr: np.ndarray, p: int) -> int:
@@ -175,9 +207,12 @@ def good_primes(seed: int = 0) -> Iterable[int]:
         yield FIELD_PRIMES[(start + idx) % n]
 
 
-def certify(matrix, policy: str = "fast", seed: int = 0,
+def certify(source, policy: str = "fast", seed: int = 0,
             modular_attempts: int = 3) -> RankCertificate:
     """Certify the rank with the strongest sound claim.
+
+    `source` is a curve (modular-first, see the module docstring), a
+    GaussMatrix, or a sequence of rational rows.
 
     fast:  run modular ranks at up to `modular_attempts` good primes; the
            first one equal to min(rows, cols) certifies maximality.  If none
@@ -186,15 +221,38 @@ def certify(matrix, policy: str = "fast", seed: int = 0,
     """
     if policy not in ("fast", "exact"):
         raise ValueError(f"policy must be 'fast' or 'exact', got {policy!r}")
-    rows = _entry_rows(matrix)
-    genus = getattr(matrix, "genus", None)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    maxp = min(nrows, ncols)
     start = time.perf_counter()
+    curve = source if isinstance(source, PrymBinaryCurve) else None
+    if curve is None:
+        matrix = source
+        rows = _entry_rows(matrix)
+        genus = getattr(matrix, "genus", None)
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+    else:
+        matrix = None
+        genus = curve.genus
+        nrows, ncols = matrix_shape(genus)
+    maxp = min(nrows, ncols)
+
+    def rational():
+        nonlocal matrix
+        if matrix is None:
+            matrix = assemble_matrix(curve)
+        return matrix
+
+    def modular_rank(p: int) -> int:
+        if curve is not None:
+            try:
+                image = assemble_mod_p(curve, p)
+            except BadPrimeError:
+                pass        # the curve's data does not reduce: reduce the matrix
+            else:
+                return _echelon_rank(image, p)
+        return rank_mod_p(rational(), p)
 
     if policy == "exact":
-        rank = rank_exact(matrix)
+        rank = rank_exact(rational())
         return RankCertificate(genus, rank, maxp, rank == maxp, "bareiss", (),
                                time.perf_counter() - start)
 
@@ -204,7 +262,7 @@ def certify(matrix, policy: str = "fast", seed: int = 0,
         if len(primes_used) >= modular_attempts:
             break
         try:
-            r = rank_mod_p(matrix, p)
+            r = modular_rank(p)
         except BadPrimeError:
             continue
         primes_used.append(p)
@@ -212,7 +270,7 @@ def certify(matrix, policy: str = "fast", seed: int = 0,
         if r == maxp:
             return RankCertificate(genus, r, maxp, True, "modular", tuple(primes_used),
                                    time.perf_counter() - start)
-    rank = rank_exact(matrix)
+    rank = rank_exact(rational())
     if rank < best_modular:
         raise AssertionError(
             f"exact rank {rank} below a modular lower bound {best_modular}: arithmetic bug")

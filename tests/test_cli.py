@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,3 +187,31 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["rank"] == 3
+
+
+# sha256 of the exact stdout of `--json --no-timing`, pinned on the Fraction
+# assembly route that preceded modular-first certification.
+GOLDEN_STDOUT_SHA256 = {
+    "rank --genus 12 --paper-params --convention script":
+        "f4fba1a0ea2c00ffeeaeebb0652a008b006fb9b1be1fbb84bd352c6a8a7cdbfa",
+    "sweep --g-min 4 --g-max 12 --paper-params --convention script":
+        "4f41f11c547c4c15ba2294bbee148f6bcf6e0e21e22efb7d5fd1b6ddfc332378",
+    "sweep --g-min 13 --g-max 21 --seed 0":
+        "03087ba6154315a4c09750dd322797dd6682ec80dd47b4c4d2f13ef91bf5b8dd",
+    "rank --genus 9 --seed 3 --policy exact":
+        "7d23f66358f895152a183476152334d68cc841a6a92ceb60e98c082eabb32b10",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
+def test_golden_stdout(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split(), "--json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+
+def test_missing_params_file_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "rank", "--genus", "5",
+                           "--params", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert err.startswith("error:") and "absent.json" in err

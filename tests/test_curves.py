@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from prymgauss import (ParameterError, Poly, build_curve, node_check, node_table,
-                       poly_from_roots, project_node, projection_node_index,
-                       seeded_params, torsion_descriptor)
+                       project_node, projection_node_index, seeded_params,
+                       torsion_descriptor)
 
 
 @pytest.fixture
@@ -18,13 +18,13 @@ def g5_curve():
 
 def test_alpha_first_block(g5_curve):
     # i=1 <= k=2: t * M / (t - 1) = t(t-2)(t-3)(t-4)
-    assert g5_curve.alpha(1, 1) == poly_from_roots([0, 2, 3, 4])
+    assert g5_curve.alpha(1, 1) == Poly.from_roots([0, 2, 3, 4])
 
 
 def test_alpha_second_block_paper(g5_curve):
     # i=3 > k: a_3 M / (A2 (t - 3)) with A2 = 2*4*6*8 = 384
     assert g5_curve.A2 == 384
-    assert g5_curve.alpha(3, 1) == poly_from_roots([1, 2, 4]).scale(Fraction(3, 384))
+    assert g5_curve.alpha(3, 1) == Poly.from_roots([1, 2, 4]).scale(Fraction(3, 384))
 
 
 def test_alpha_second_block_script():

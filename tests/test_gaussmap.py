@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from prymgauss import (Poly, assemble_matrix, build_curve, matrix_checksum,
-                       matrix_from_bytes, matrix_from_json, matrix_shape,
+import numpy as np
+
+from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, Poly, assemble_matrix,
+                       assemble_mod_p, build_curve, builtin_params, evaluation_points,
+                       matrix_checksum, matrix_from_bytes, matrix_from_json, matrix_shape,
                        matrix_to_bytes, matrix_to_json, nu_closed_form, nu_wronskian,
-                       builtin_params, poly_from_roots, row_pairs, seeded_params,
-                       tau_infinity, tau_interior)
+                       reduce_mod_p, row_pairs, seeded_params, tau_infinity, tau_interior)
 
 # Frozen oracle values below were computed with an independent symbolic
 # differentiation of the embedding coordinates (rational functions), then
@@ -39,7 +41,7 @@ def test_wronskian_antisymmetry(sym_curve):
 
 def test_nu_34_1_closed_value(sym_curve):
     # (a_3 - a_4) a_3 a_4 / A2^2 * ((t-1)(t-2))^2 with A2 = 384
-    b = poly_from_roots([1, 2])
+    b = Poly.from_roots([1, 2])
     expected = (b * b).scale(Fraction(-12, 384 ** 2))
     assert nu_wronskian(sym_curve, 3, 4, 1) == expected
     assert nu_closed_form(sym_curve, 3, 4, 1) == expected
@@ -177,6 +179,60 @@ def test_live_symbolic_oracle_on_seeded_curve():
             assert sp.Rational(mine.numerator, mine.denominator) == sp.nsimplify(sym_tau)
 
 
+# -- modular image -------------------------------------------------------
+
+def evaluation_basis(matrix, p):
+    """reduce_p(M) * blockdiag(V, V, I), V[d, k] = x_k^d at the sample points."""
+    g = matrix.genus
+    points = evaluation_points(g)
+    width = len(points)
+    vander = np.array([[pow(x, d, p) for x in points] for d in range(width)], dtype=object)
+    out = reduce_mod_p(matrix, p).astype(object)
+    for block in (slice(0, width), slice(width, 2 * width)):
+        out[:, block] = out[:, block].dot(vander) % p
+    return out.astype(np.int64)
+
+
+def test_evaluation_points_are_distinct():
+    for g in (3, 12, 40):
+        points = evaluation_points(g)
+        assert len(points) == 2 * g - 3 == len(set(points))
+
+
+@pytest.mark.parametrize("genus", range(3, 21))
+def test_modular_image_is_reduced_matrix_in_evaluation_basis(genus):
+    # Three seeds below genus 13, one above: assembling the rational oracle
+    # grows like g^4.
+    seeds = (genus, 100 + genus, 200 + genus) if genus <= 12 else (genus,)
+    for seed in seeds:
+        a1, a2 = seeded_params(genus, seed)
+        for convention in ("paper", "script"):
+            curve = build_curve(genus, a1, a2, convention)
+            matrix = assemble_matrix(curve)
+            for p in (FIELD_PRIMES[0], FIELD_PRIMES[13]):
+                got = assemble_mod_p(curve, p)
+                assert got.dtype == np.int64 and got.shape == matrix_shape(genus)
+                assert np.array_equal(got, evaluation_basis(matrix, p)), (seed, convention, p)
+
+
+def test_modular_image_with_parameters_colliding_mod_p():
+    # a1_1 = p is 0 mod p (a sample point and the node P_g), and a2_1, a2_2
+    # agree mod p: the product formulas divide by nothing, so they still hold.
+    p = FIELD_PRIMES[2]
+    for convention in ("paper", "script"):
+        curve = build_curve(6, [p, 1, 2, Fraction(-3, 7), 5], [1, 1 + p, 4, 9, -2], convention)
+        assert np.array_equal(assemble_mod_p(curve, p), evaluation_basis(assemble_matrix(curve), p))
+
+
+def test_modular_image_rejects_curves_that_do_not_reduce():
+    p = FIELD_PRIMES[0]
+    with pytest.raises(BadPrimeError):
+        assemble_mod_p(build_curve(5, [Fraction(1, p), 2, 3, 4], [5, 6, 7, 8]), p)
+    # a2_4 = p makes A2 vanish mod p, so c_i = a2_i / A2 has p in its denominator
+    with pytest.raises(BadPrimeError):
+        assemble_mod_p(build_curve(5, [1, 2, 3, 4], [5, 6, 7, p]), p)
+
+
 # -- assembly -----------------------------------------------------------
 
 def test_matrix_shape_bookkeeping():
@@ -253,3 +309,46 @@ def test_binary_roundtrip():
 def test_binary_rejects_garbage():
     with pytest.raises(ValueError):
         matrix_from_bytes(b"NOPE" + b"\x00" * 32)
+
+
+@pytest.fixture
+def g5_dump(gen_curve):
+    return matrix_to_bytes(assemble_matrix(gen_curve))
+
+
+@pytest.mark.parametrize("keep", [4, 5, 12, 20])
+def test_binary_rejects_short_header(g5_dump, keep):
+    with pytest.raises(ValueError, match="truncated"):
+        matrix_from_bytes(g5_dump[:keep])
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5])
+def test_binary_rejects_truncated_cell(g5_dump, cut):
+    with pytest.raises(ValueError, match="truncated"):
+        matrix_from_bytes(g5_dump[:-cut])
+
+
+def test_binary_rejects_trailing_bytes(g5_dump):
+    with pytest.raises(ValueError, match="trailing"):
+        matrix_from_bytes(g5_dump + b"0")
+
+
+def test_binary_rejects_header_genus_mismatch(g5_dump):
+    # genus 6 needs a 10 x 25 matrix; the header still says 6 x 20
+    with pytest.raises(ValueError, match="does not match genus"):
+        matrix_from_bytes(g5_dump[:5] + (6).to_bytes(4, "little") + g5_dump[9:])
+
+
+def test_binary_rejects_unknown_convention_flag(g5_dump):
+    with pytest.raises(ValueError, match="convention flag"):
+        matrix_from_bytes(g5_dump[:9] + b"\x02" + g5_dump[10:])
+
+
+def test_json_rejects_shape_mismatch(gen_curve):
+    m = assemble_matrix(gen_curve)
+    short = GaussMatrix(genus=5, convention="paper", entries=m.entries[:-1])
+    with pytest.raises(ValueError, match="does not match genus"):
+        matrix_from_json(matrix_to_json(short))
+    ragged = GaussMatrix(genus=5, convention="paper", entries=m.entries[:-1] + (m.entries[-1][:-1],))
+    with pytest.raises(ValueError, match="differ in length"):
+        matrix_from_json(matrix_to_json(ragged))

@@ -67,6 +67,13 @@ def test_file_missing_key(tmp_path):
         params_from_file(path)
 
 
+def test_file_rejects_boolean_genus(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"genus": true, "a1": [], "a2": []}')
+    with pytest.raises(ParameterError, match="genus must be a JSON integer"):
+        params_from_file(path)
+
+
 def test_file_accepts_plain_integers(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text('{"genus": 4, "convention": "paper", "a1": [1, 2, 3], "a2": ["4", "5", "6"]}')

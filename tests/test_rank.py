@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
-                       build_curve, certify, rank_exact, rank_mod_p, seeded_params)
+                       build_curve, certify, rank_exact, rank_mod_p, reduce_mod_p,
+                       seeded_params)
+from prymgauss import rank as rank_module
 
 P = FIELD_PRIMES[0]
 
@@ -178,3 +180,62 @@ def test_certificate_json_fields():
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError):
         certify(frac_rows([[1]]), policy="guess")
+
+
+def test_reduce_mod_p_matches_field_reduction():
+    m = [[Fraction(-7, 3), Fraction(0)], [Fraction(2**80 + 1, 5), Fraction(P + 2, 1)]]
+    red = reduce_mod_p(m, P)
+    assert red.tolist() == [[(-7 * pow(3, -1, P)) % P, 0],
+                            [(2**80 + 1) * pow(5, -1, P) % P, 2]]
+    assert reduce_mod_p([], P).shape == (0, 0)
+    with pytest.raises(ValueError, match="differ in length"):
+        reduce_mod_p([[Fraction(1), Fraction(2)], [Fraction(3)]], P)
+    with pytest.raises(BadPrimeError):
+        reduce_mod_p([[Fraction(1), Fraction(1, 2 * P)]], P)
+
+
+# -- modular-first certification of curves -----------------------------
+
+def same_certificate(curve, **kwargs):
+    from_curve = certify(curve, **kwargs).to_json_dict(with_timing=False)
+    from_matrix = certify(assemble_matrix(curve), **kwargs).to_json_dict(with_timing=False)
+    assert from_curve == from_matrix
+    return from_curve
+
+
+@pytest.mark.parametrize("genus,seed", [(4, 0), (7, 3), (11, 5), (12, 1), (13, 2), (16, 9)])
+def test_certify_curve_equals_certify_matrix(genus, seed):
+    a1, a2 = seeded_params(genus, seed)
+    for convention in ("paper", "script"):
+        cert = same_certificate(build_curve(genus, a1, a2, convention), seed=seed)
+        assert cert["method"] == "modular" and cert["is_maximal"]
+
+
+def test_certify_curve_falls_back_to_rational_reduction_at_a_bad_prime():
+    # a1_1 has denominator P: the curve's data does not reduce mod P, so P
+    # goes through the rational matrix, which P also fails to reduce.
+    curve = build_curve(5, [Fraction(1, P), 2, 3, 4], [5, -7, Fraction(1, 2), 9])
+    cert = same_certificate(curve, seed=0)
+    assert cert["primes_used"] == [FIELD_PRIMES[1]]
+
+
+def test_certify_curve_lazy_bareiss_fallback():
+    a1, a2 = seeded_params(6, 5)
+    cert = same_certificate(build_curve(6, a1, a2), modular_attempts=0)
+    assert cert["method"] == "both" and cert["primes_used"] == []
+    assert cert["rank"] == 10 and cert["is_maximal"]
+
+
+def test_certify_curve_exact_policy():
+    a1, a2 = seeded_params(6, 2)
+    cert = same_certificate(build_curve(6, a1, a2, "script"), policy="exact")
+    assert cert["method"] == "bareiss" and cert["rank"] == 10
+
+
+def test_certify_curve_builds_no_rational_matrix_on_the_modular_route(monkeypatch):
+    def refuse(curve):
+        raise AssertionError("rational matrix assembled")
+    monkeypatch.setattr(rank_module, "assemble_matrix", refuse)
+    a1, a2 = seeded_params(14, 1)
+    cert = certify(build_curve(14, a1, a2), seed=1)
+    assert cert.method == "modular" and cert.rank == 65 and cert.genus == 14
