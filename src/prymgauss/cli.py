@@ -29,7 +29,8 @@ from .rank import certify
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_params: bool = True) -> None:
-    parser.add_argument("--convention", choices=("paper", "script"), default="paper")
+    parser.add_argument("--convention", choices=("paper", "script"),
+                        help="curve convention (default: the params file's, else paper)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for parameter draws and the prime-list offset")
     if needs_params:
@@ -43,19 +44,27 @@ def _add_common(parser: argparse.ArgumentParser, needs_params: bool = True) -> N
 
 
 def _resolve_params(args, genus: int):
-    """Exactly one parameter source: file | built-in vectors | seed."""
+    """Exactly one parameter source: file | built-in vectors | seed.
+
+    A params file carries its own convention; an explicit --convention that
+    disagrees with it is an error.  Without a file the default is paper.
+    """
     if getattr(args, "params", None) and getattr(args, "paper_params", False):
         raise ParameterError("--params and --paper-params are mutually exclusive")
     if getattr(args, "params", None):
         file_genus, convention, a1, a2 = params_from_file(args.params)
         if genus is not None and file_genus != genus:
             raise ParameterError(f"--genus {genus} disagrees with parameter file genus {file_genus}")
+        if args.convention is not None and args.convention != convention:
+            raise ParameterError(f"--convention {args.convention} disagrees with parameter "
+                                 f"file convention {convention}")
         return file_genus, convention, a1, a2, "file"
+    convention = args.convention or "paper"
     if getattr(args, "paper_params", False):
         a1, a2 = builtin_params(genus)
-        return genus, args.convention, a1, a2, "paper-params"
+        return genus, convention, a1, a2, "paper-params"
     a1, a2 = seeded_params(genus, args.seed)
-    return genus, args.convention, a1, a2, "seed"
+    return genus, convention, a1, a2, "seed"
 
 
 def _envelope(args, command: str, **extra) -> dict:
@@ -131,11 +140,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    if args.convention != "paper":
-        print("oracle requires --convention paper (closed forms are stated for it)",
+    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
+    if convention != "paper":
+        print("oracle requires the paper convention (closed forms are stated for it)",
               file=sys.stderr)
         return 2
-    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
     curve = build_curve(genus, a1, a2, convention)
     mismatches = []
     for (i, j) in row_pairs(genus):

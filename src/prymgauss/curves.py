@@ -29,7 +29,10 @@ Nodes: P_l = e_l (standard basis) for l <= g-1 at parameter t = a_l on each
 component; P_g at t = 0 with pattern (0..0, 1..1) (k zeros first); P_{g+1}
 at u = 0 with the complementary pattern (1..1, 0..0).
 
-Curves are immutable after construction; all functions here are pure.
+A curve's parameters never change after construction.  The polynomials
+above are built per index on first access and cached; since every cache
+entry has one possible value, a curve behaves as immutable and may be
+shared across threads.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -50,8 +53,11 @@ class ParameterError(ValueError):
 class PrymBinaryCurve:
     """Genus, parameter rows, and the derived embedding polynomials.
 
-    Treat instances as immutable: every attribute is computed once in the
-    constructor and never rewritten, so sharing across threads is safe.
+    The constructor keeps only the parameters, k and A2.  M, alpha, uchart
+    and alpha_derivative are built per index on first access and cached;
+    a cache entry never changes once filled, and two threads that fill the
+    same entry store identical values, so sharing a curve across threads is
+    safe.
     """
 
     def __init__(self, genus: int, a1: Sequence[Fraction], a2: Sequence[Fraction],
@@ -62,15 +68,9 @@ class PrymBinaryCurve:
         self.a2 = tuple(a2)
         self.k = genus // 2
         self.A2 = _product(self.a2)
-        m1 = Poly.from_roots(self.a1)
-        m2 = Poly.from_roots(self.a2)
-        self.M = {1: m1, 2: m2}
-        self._alpha = {}
-        self._uchart = {}
-        for eps in (1, 2):
-            for i in range(1, genus):
-                self._alpha[(i, eps)] = self._build_alpha(i, eps)
-                self._uchart[(i, eps)] = self._build_uchart(i, eps)
+        self._m: dict[int, Poly] = {}
+        self._alpha: dict[tuple[int, int], Poly] = {}
+        self._uchart: dict[tuple[int, int], Poly] = {}
         self._dalpha: dict[tuple[int, int], Poly] = {}
         self._node_values: dict[tuple[int, int, int], Fraction] = {}
 
@@ -78,6 +78,8 @@ class PrymBinaryCurve:
 
     def coeff_pair(self, i: int, eps: int) -> tuple[int, Fraction]:
         """(delta_i, c_i) for the numerator factor delta_i*t - c_i of alpha(i, eps)."""
+        if not 1 <= i < self.genus:
+            raise ValueError(f"coordinate index must be in 1..{self.genus - 1}, got {i}")
         if i <= self.k:
             return 1, Fraction(0)
         if eps == 2:
@@ -87,20 +89,26 @@ class PrymBinaryCurve:
         return 0, -self.a1[i - 1] * self.A2
 
     def _build_alpha(self, i: int, eps: int) -> Poly:
-        a = self.params(eps)[i - 1]
         delta, c = self.coeff_pair(i, eps)
-        base = self.M[eps].div_linear(a)
+        a = self.params(eps)[i - 1]
+        base = self.M(eps).div_linear(a)
         return base * Poly((-c, delta))
 
     def _build_uchart(self, i: int, eps: int) -> Poly:
-        params = self.params(eps)
-        a = params[i - 1]
         delta, c = self.coeff_pair(i, eps)
+        a = self.params(eps)[i - 1]
         # MM(u) = prod (1 - a_r u) is M with coefficients reversed.
-        mm = Poly(tuple(reversed(self.M[eps].padded(self.genus))))
+        mm = Poly(tuple(reversed(self.M(eps).padded(self.genus))))
         # (1 - a u) = -a (u - 1/a); a is nonzero by the curve invariants.
         base = mm.div_linear(Fraction(1) / a).scale(Fraction(-1) / a)
         return base * Poly((delta, -c))
+
+    @staticmethod
+    def _cached(table: dict, key: tuple, build):
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build(*key)
+        return value
 
     # -- accessors ------------------------------------------------------
 
@@ -111,20 +119,37 @@ class PrymBinaryCurve:
             return self.a2
         raise ValueError(f"component index must be 1 or 2, got {eps}")
 
+    def M(self, eps: int) -> Poly:
+        """M(t) = prod_r (t - a_r) over the parameter row of component eps."""
+        return self._cached(self._m, (eps,), lambda eps: Poly.from_roots(self.params(eps)))
+
     def alpha(self, i: int, eps: int) -> Poly:
         """i-th embedding coordinate of component eps in the t chart."""
-        return self._alpha[(i, eps)]
+        return self._cached(self._alpha, (i, eps), self._build_alpha)
 
     def uchart(self, i: int, eps: int) -> Poly:
         """i-th embedding coordinate of component eps in the u chart."""
-        return self._uchart[(i, eps)]
+        return self._cached(self._uchart, (i, eps), self._build_uchart)
 
     def alpha_derivative(self, i: int, eps: int) -> Poly:
         """Cached d/dt of alpha(i, eps)."""
-        key = (i, eps)
-        if key not in self._dalpha:
-            self._dalpha[key] = self._alpha[key].derivative()
-        return self._dalpha[key]
+        return self._cached(self._dalpha, (i, eps), lambda i, eps: self.alpha(i, eps).derivative())
+
+    def alpha_jet(self, i: int, eps: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        """(alpha, alpha', alpha'') of alpha(i, eps) at x, from the parameters.
+
+        A running product of (x - a_s) over s != i carries its first two
+        derivatives by the product rule; nothing is divided, so x may be a
+        parameter.  O(g) exact operations and no polynomial.
+        """
+        delta, c = self.coeff_pair(i, eps)
+        q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
+        for s, root in enumerate(self.params(eps), start=1):
+            if s != i:
+                d = x - root
+                q, dq, ddq = q * d, dq * d + q, ddq * d + 2 * dq
+        lin = delta * x - c
+        return q * lin, dq * lin + q * delta, ddq * lin + 2 * dq * delta
 
     def node_parameter(self, eps: int, h: int) -> Fraction:
         """t-coordinate of node P_h on component eps, h = 1..g (P_g at t=0)."""
@@ -136,12 +161,8 @@ class PrymBinaryCurve:
 
     def alpha_derivative_at_node(self, i: int, eps: int, h: int) -> Fraction:
         """alpha'(i,eps) evaluated at node P_h; memoized per entry."""
-        key = (i, eps, h)
-        value = self._node_values.get(key)
-        if value is None:
-            value = self.alpha_derivative(i, eps)(self.node_parameter(eps, h))
-            self._node_values[key] = value
-        return value
+        return self._cached(self._node_values, (i, eps, h), lambda i, eps, h:
+                            self.alpha_derivative(i, eps)(self.node_parameter(eps, h)))
 
     def __repr__(self) -> str:
         return (f"PrymBinaryCurve(genus={self.genus}, convention={self.convention!r}, "

@@ -15,8 +15,9 @@ splits into a polynomial part and a torsion part:
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
 (ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at P_1..P_g,
-tau at P_{g+1}.  Row assembly only reads the immutable curve, so any
-evaluation order produces the identical matrix.
+tau at P_{g+1}.  Row assembly only reads the curve (its caches fill with
+values fixed by the parameters), so any evaluation order produces the
+identical matrix.
 
 For the default normalization ("paper" convention) each nu_{ij,h} also has a
 closed form in three regimes (k = floor(g/2), a = parameter row h, B =
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import PrymBinaryCurve
+from .curves import CONVENTIONS, PrymBinaryCurve
 from .exact import Poly, PrimeField, format_rational, parse_rational
 
 
@@ -92,7 +93,7 @@ def nu_closed_form(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Poly:
     a = curve.params(h)
     ai, aj = a[i - 1], a[j - 1]
     k = curve.k
-    b = curve.M[h].div_linear(ai).div_linear(aj)
+    b = curve.M(h).div_linear(ai).div_linear(aj)
     b2 = b * b
     if j <= k:
         return (b2 * Poly((0, 0, 1))).scale(ai - aj)
@@ -293,8 +294,20 @@ def _check_shape(genus, nrows: int, ncols: int) -> None:
 
 
 def matrix_from_json(text: str) -> GaussMatrix:
+    """Parse `matrix_to_json` output; ValueError unless it is one whole matrix."""
     data = json.loads(text)
-    entries = tuple(tuple(parse_rational(x) for x in row) for row in data["rows"])
+    if not isinstance(data, dict):
+        raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
+    missing = [key for key in ("genus", "convention", "rows") if key not in data]
+    if missing:
+        raise ValueError(f"matrix JSON lacks {', '.join(missing)}")
+    if data["convention"] not in CONVENTIONS:
+        raise ValueError(f"matrix convention must be one of {CONVENTIONS}, "
+                         f"got {data['convention']!r}")
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix JSON rows must be a list of lists")
+    entries = tuple(tuple(parse_rational(x) for x in row) for row in rows)
     matrix = GaussMatrix(genus=data["genus"], convention=data["convention"], entries=entries)
     _check_shape(matrix.genus, matrix.rows, matrix.cols)
     if any(len(row) != matrix.cols for row in entries):

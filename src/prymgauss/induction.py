@@ -13,6 +13,18 @@ and its columns are five selected pairs (i, j):
     even genus 2k:   (1,k)   (2,k)   (k,g-2)   (k,g-1)   (k-1,k+1)
     odd genus 2k+1:  (2,k+1) (3,k+1) (k+1,g-2) (k+1,g-1) (k-1,k+2)
 
+The block is built from jets, not polynomials: `PrymBinaryCurve.alpha_jet`
+gives (alpha_i, alpha_i', alpha_i'') at the node parameter from a running
+product of (t - a_s), s != i, in O(g) exact operations.  With one jet per
+distinct (index, component),
+
+    nu  = alpha_i alpha_j'  - alpha_j alpha_i',
+    nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
+    tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2},
+
+which are the values of `nu_wronskian`, its derivative and `tau_interior`
+on the same curve (the tests keep those as the oracle).
+
 Both nu rows of the last column vanish (its indices avoid r), so
 det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  det5 != 0 is
 the authoritative verdict.  Two diagnostics accompany it:
@@ -44,10 +56,6 @@ from typing import Sequence
 
 from .curves import PrymBinaryCurve, build_curve, projection_node_index
 from .exact import RationalLike, format_rational, parse_rational
-from .gaussmap import nu_wronskian, tau_interior
-
-# Fallback family parameters for retrying an inconclusive diagnostic.
-_DIAGNOSTIC_FALLBACKS = (Fraction(5), Fraction(-3), Fraction(9, 2))
 
 
 def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
@@ -82,21 +90,29 @@ class InductionSubmatrix:
 
 def build_induction_submatrix(genus: int, a: RationalLike,
                               curve: PrymBinaryCurve | None = None) -> InductionSubmatrix:
-    """Assemble the 5x5 block from the Gaussian-map primitives."""
+    """Assemble the 5x5 block from alpha jets at the projection node.
+
+    One jet (alpha, alpha', alpha'') per distinct (index, component) gives
+    nu = a_i a_j' - a_j a_i', nu' = a_i a_j'' - a_j a_i'' and
+    tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2}; no polynomial is built.
+    """
     a = parse_rational(a)
     if curve is None:
         curve = family_curve(genus, a)
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
-    pt1 = curve.node_parameter(1, r)
-    pt2 = curve.node_parameter(2, r)
+    points = {eps: curve.node_parameter(eps, r) for eps in (1, 2)}
+    jets = {(i, eps): curve.alpha_jet(i, eps, points[eps])
+            for i in {i for pair in pairs for i in pair} for eps in (1, 2)}
     cols = []
     for (i, j) in pairs:
-        nu1 = nu_wronskian(curve, i, j, 1)
-        nu2 = nu_wronskian(curve, i, j, 2)
-        cols.append((nu1(pt1), nu1.derivative()(pt1),
-                     nu2(pt2), nu2.derivative()(pt2),
-                     tau_interior(curve, i, j, r)))
+        col = []
+        for eps in (1, 2):
+            ai, di, ddi = jets[(i, eps)]
+            aj, dj, ddj = jets[(j, eps)]
+            col += [ai * dj - aj * di, ai * ddj - aj * ddi]
+        col.append(jets[(j, 1)][1] * jets[(i, 2)][1] - jets[(i, 1)][1] * jets[(j, 2)][1])
+        cols.append(col)
     entries = tuple(tuple(cols[q][p] for q in range(5)) for p in range(5))
     return InductionSubmatrix(genus=genus, a=a,
                               parity="even" if genus % 2 == 0 else "odd",
@@ -219,15 +235,12 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
 
 
 def check_tau_closed_form(genus: int, a: RationalLike,
-                          curve: PrymBinaryCurve | None = None) -> bool:
-    """Exact comparison of tau at the projection node with its closed form,
-    plus the nonvanishing assertion."""
-    a = parse_rational(a)
-    if curve is None:
-        curve = family_curve(genus, a)
-    r = projection_node_index(genus)
-    pair = selected_pairs(genus)[4]
-    value = tau_interior(curve, pair[0], pair[1], r)
+                          submatrix: InductionSubmatrix | None = None) -> bool:
+    """Exact comparison of tau at the projection node (the block's entry
+    [4][4]) with its closed form, plus the nonvanishing assertion."""
+    if submatrix is None:
+        submatrix = build_induction_submatrix(genus, a)
+    value = submatrix.entries[4][4]
     return value != 0 and value == tau_closed_form(genus, a)
 
 
@@ -265,26 +278,15 @@ class InductionReport:
 
 
 def verify_det5(genus: int, a: RationalLike) -> InductionReport:
-    """Compute det5 exactly and run both diagnostics.
+    """Compute det5 exactly and run both diagnostics on the same block.
 
-    An inconclusive scaling diagnostic is retried with fallback family
-    parameters; the det5 verdict always refers to the requested (genus, a).
+    An inconclusive scaling diagnostic is reported as None.
     """
     a = parse_rational(a)
-    curve = family_curve(genus, a)
-    sub = build_induction_submatrix(genus, a, curve=curve)
+    sub = build_induction_submatrix(genus, a, curve=family_curve(genus, a))
     det5 = _det_exact(sub.entries)
     scaled = check_scaled_matrix(genus, a, submatrix=sub)
-    if scaled is None:
-        for fallback in _DIAGNOSTIC_FALLBACKS:
-            if fallback == a:
-                continue
-            scaled = check_scaled_matrix(genus, fallback)
-            if scaled is not None:
-                break
-    tau_ok = check_tau_closed_form(genus, a, curve=curve)
-    pair = sub.columns[4]
-    value = tau_interior(curve, pair[0], pair[1], sub.node_index)
+    tau_ok = check_tau_closed_form(genus, a, submatrix=sub)
     # Display convention: the even-parity closed form is usually quoted for
     # the swapped torsion order, i.e. with the opposite sign.
     displayed = -tau_closed_form(genus, a) if genus % 2 == 0 else tau_closed_form(genus, a)
@@ -292,7 +294,7 @@ def verify_det5(genus: int, a: RationalLike) -> InductionReport:
         genus=genus, parity=sub.parity, a=a, node_index=sub.node_index,
         selected_columns=sub.columns, det5=det5, det5_nonzero=det5 != 0,
         scaled4x4_matches=scaled, tau_closed_form_matches=tau_ok,
-        tau_sign_matches_display=(value == displayed),
+        tau_sign_matches_display=(sub.entries[4][4] == displayed),
     )
 
 

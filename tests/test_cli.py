@@ -104,6 +104,14 @@ def test_oracle_pass_handmade_params(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_oracle_rejects_script_params_file(capsys, tmp_path):
+    path = tmp_path / "g5.json"
+    params_to_file(path, 5, "script", [1, 2, 3, 4], [2, 4, 6, 8])
+    code, _, err = run_cli(capsys, "oracle", "--genus", "5", "--params", str(path))
+    assert code == 2
+    assert "paper" in err
+
+
 def test_oracle_rejects_script_convention(capsys):
     code, _, err = run_cli(capsys, "oracle", "--genus", "5", "--seed", "1",
                            "--convention", "script")
@@ -200,6 +208,11 @@ GOLDEN_STDOUT_SHA256 = {
         "03087ba6154315a4c09750dd322797dd6682ec80dd47b4c4d2f13ef91bf5b8dd",
     "rank --genus 9 --seed 3 --policy exact":
         "7d23f66358f895152a183476152334d68cc841a6a92ceb60e98c082eabb32b10",
+    # pinned on the polynomial (Wronskian) 5x5 block that preceded alpha jets
+    "induction --g-min 13 --g-max 20":
+        "7f323fe4b63bc40d3c4903bab155db05b9d8ce5c524395d5144e9a47c7be5585",
+    "induction --g-min 100 --g-max 100":
+        "6cfef2fe9eedff00d11ccb5a7c322948caa88bb0a5c98d45c983d76faf1c0267",
 }
 
 
@@ -215,3 +228,39 @@ def test_missing_params_file_is_a_usage_error(capsys, tmp_path):
                            "--params", str(tmp_path / "absent.json"))
     assert code == 2
     assert err.startswith("error:") and "absent.json" in err
+
+
+def _script_params_file(tmp_path):
+    path = tmp_path / "script.json"
+    params_to_file(path, 5, "script", [1, 2, 3, 4], [5, 6, 7, 8])
+    return str(path)
+
+
+def test_convention_flag_disagreeing_with_params_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "rank", "--genus", "5", "--params",
+                             _script_params_file(tmp_path), "--convention", "paper",
+                             "--json", "--no-timing")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "convention" in err
+
+
+def test_convention_flag_agreeing_with_params_file(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "rank", "--genus", "5", "--params",
+                           _script_params_file(tmp_path), "--convention", "script",
+                           "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["convention"] == "script"
+
+
+def test_params_file_convention_applies_without_flag(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "rank", "--genus", "5", "--params",
+                           _script_params_file(tmp_path), "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["convention"] == "script"
+
+
+def test_convention_defaults_to_paper_without_params_file(capsys):
+    code, out, _ = run_cli(capsys, "rank", "--genus", "5", "--seed", "1",
+                           "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["convention"] == "paper"

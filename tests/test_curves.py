@@ -1,5 +1,6 @@
 """curve-model: construction, node checks, projection, torsion pattern."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -188,3 +189,46 @@ def test_torsion_descriptor_count(g):
     desc = torsion_descriptor(build_curve(g, a1, a2))
     assert len(desc) == g + 1
     assert sum(1 for h in desc if h == 1) == g // 2 + 1
+
+
+def test_build_curve_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial built")
+    monkeypatch.setattr(Poly, "from_roots", refuse)
+    a1, a2 = seeded_params(40, 2)
+    curve = build_curve(40, a1, a2)
+    assert curve.k == 20 and curve.A2 == math.prod(curve.a2)
+
+
+def test_lazy_polynomials_are_cached_and_match_a_fresh_build():
+    a1, a2 = seeded_params(9, 4)
+    for convention in ("paper", "script"):
+        curve = build_curve(9, a1, a2, convention)
+        fresh = build_curve(9, a1, a2, convention)
+        for eps in (1, 2):
+            assert curve.M(eps) is curve.M(eps)
+            assert curve.M(eps) == Poly.from_roots(curve.params(eps))
+            for i in range(1, 9):
+                assert curve.alpha(i, eps) is curve.alpha(i, eps)
+                assert curve.uchart(i, eps) is curve.uchart(i, eps)
+                assert curve.alpha_derivative(i, eps) == fresh.alpha(i, eps).derivative()
+
+
+def test_alpha_jet_matches_polynomial_derivatives():
+    a1, a2 = seeded_params(8, 6)
+    curve = build_curve(8, a1, a2, "script")
+    points = [Fraction(0), Fraction(3, 7), curve.a1[2], curve.a2[5]]
+    for eps in (1, 2):
+        for i in range(1, 8):
+            poly = curve.alpha(i, eps)
+            for x in points:
+                assert curve.alpha_jet(i, eps, x) == (
+                    poly(x), poly.derivative()(x), poly.derivative().derivative()(x))
+
+
+@pytest.mark.parametrize("i", [0, 5, -1])
+def test_coordinate_index_out_of_range(g5_curve, i):
+    with pytest.raises(ValueError):
+        g5_curve.alpha(i, 1)
+    with pytest.raises(ValueError):
+        g5_curve.alpha_jet(i, 2, Fraction(1))

@@ -1,5 +1,6 @@
 """gauss-map: Wronskian blocks, closed forms, torsion values, assembly."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -352,3 +353,27 @@ def test_json_rejects_shape_mismatch(gen_curve):
     ragged = GaussMatrix(genus=5, convention="paper", entries=m.entries[:-1] + (m.entries[-1][:-1],))
     with pytest.raises(ValueError, match="differ in length"):
         matrix_from_json(matrix_to_json(ragged))
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[]",
+    '"rows"',
+    '{"convention": "paper", "rows": []}',
+    '{"genus": 5, "rows": []}',
+    '{"genus": 5, "convention": "paper"}',
+    '{"genus": 5, "convention": "paper", "rows": 5}',
+    '{"genus": 5, "convention": "paper", "rows": [5]}',
+    '{"genus": 5, "convention": "paper", "rows": {"0": []}}',
+])
+def test_json_rejects_non_matrix_objects(text):
+    with pytest.raises(ValueError):
+        matrix_from_json(text)
+
+
+@pytest.mark.parametrize("convention", ["mystery", None, ["paper"]])
+def test_json_rejects_unknown_convention(gen_curve, convention):
+    data = json.loads(matrix_to_json(assemble_matrix(gen_curve)))
+    data["convention"] = convention
+    with pytest.raises(ValueError, match="convention"):
+        matrix_from_json(json.dumps(data))

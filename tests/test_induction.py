@@ -9,7 +9,8 @@ from prymgauss import (build_induction_submatrix, check_scaled_matrix,
                        selected_pairs, tau_closed_form, tau_interior, verify_det5)
 from prymgauss.induction import (even_reference_matrix, odd_reference_matrix,
                                  reference_matrix, _det_exact)
-from prymgauss import assemble_matrix, nu_wronskian
+from prymgauss import InductionSubmatrix, Poly, PrymBinaryCurve, assemble_matrix, nu_wronskian
+from prymgauss import induction as induction_module
 from prymgauss.curves import projection_node_index
 
 
@@ -163,3 +164,54 @@ def test_report_json_shape():
                          "tau_closed_form_matches", "tau_sign_matches_display"}
     assert data["parity"] == "odd"
     assert data["a"] == "2"
+
+
+@pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7), Fraction(9, 2)])
+def test_jet_block_equals_wronskian_oracle(a):
+    # the block is built from alpha jets; nu_wronskian, its derivative and
+    # tau_interior on the same curve must give the same entries exactly
+    for g in range(13, 41):
+        curve = family_curve(g, a)
+        sub = build_induction_submatrix(g, a, curve=curve)
+        r = projection_node_index(g)
+        pt1, pt2 = curve.node_parameter(1, r), curve.node_parameter(2, r)
+        for q, (i, j) in enumerate(sub.columns):
+            nu1 = nu_wronskian(curve, i, j, 1)
+            nu2 = nu_wronskian(curve, i, j, 2)
+            expected = (nu1(pt1), nu1.derivative()(pt1), nu2(pt2), nu2.derivative()(pt2),
+                        tau_interior(curve, i, j, r))
+            assert tuple(sub.entries[p][q] for p in range(5)) == expected, (g, a, (i, j))
+
+
+def test_verify_det5_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial built")
+    monkeypatch.setattr(Poly, "from_roots", refuse)
+    monkeypatch.setattr(PrymBinaryCurve, "alpha", refuse)
+    for g in (13, 14, 100):
+        report = verify_det5(g, Fraction(-5, 7))
+        assert report.ok and report.scaled4x4_matches is True
+
+
+def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
+    calls = []
+
+    def inconclusive(genus, a, submatrix=None):
+        calls.append((genus, a))
+        return None
+    monkeypatch.setattr(induction_module, "check_scaled_matrix", inconclusive)
+    report = verify_det5(14, 2)
+    assert report.scaled4x4_matches is None
+    assert report.to_json_dict()["scaled4x4_matches"] is None
+    assert calls == [(14, 2)]
+    assert report.ok                       # diagnostics never override det5
+
+
+def test_check_tau_closed_form_reads_the_given_block():
+    sub = build_induction_submatrix(14, 2)
+    assert check_tau_closed_form(14, 2, submatrix=sub)
+    entries = [list(row) for row in sub.entries]
+    entries[4][4] += 1
+    tampered = InductionSubmatrix(sub.genus, sub.a, sub.parity, sub.node_index,
+                                  sub.columns, tuple(tuple(row) for row in entries))
+    assert not check_tau_closed_form(14, 2, submatrix=tampered)
