@@ -5,6 +5,9 @@ matrix export.  Every JSON output embeds the command, tool version, seed,
 and (when a curve is involved) genus, convention and the exact parameter
 values, so any run can be reproduced from its own report.  Timing fields
 are suppressed by --no-timing, making reports byte-identical across runs.
+The commands that build a curve (rank, sweep, oracle, curve validate, matrix
+export) take --convention, --params and --paper-params; induction and
+classes do not.
 
 Exit codes: 0 = success / claims hold, 1 = a mathematical claim failed,
 2 = usage or validation error.
@@ -28,126 +31,97 @@ from .params import builtin_params, params_from_file, seeded_params, sweep_seed
 from .rank import certify
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_params: bool = True) -> None:
-    parser.add_argument("--convention", choices=("paper", "script"),
-                        help="curve convention (default: the params file's, else paper)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for parameter draws and the prime-list offset")
-    if needs_params:
+def _add_common(parser: argparse.ArgumentParser, builds_curve: bool = True) -> None:
+    if builds_curve:
+        parser.add_argument("--convention", choices=("paper", "script"),
+                            help="curve convention (default: the params file's, else paper)")
         parser.add_argument("--params", metavar="FILE",
                             help="JSON parameter file (overrides --seed as source)")
         parser.add_argument("--paper-params", action="store_true",
                             help="use the built-in parameter vectors (genus 4..12)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for parameter draws and the prime-list offset")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit timing fields (byte-reproducible output)")
 
 
-def _resolve_params(args, genus: int):
-    """Exactly one parameter source: file | built-in vectors | seed.
+def _curve(args, genus: int, seed: int):
+    """Build the curve from exactly one parameter source: file | built-in
+    vectors | seed.  Returns the curve and its report fields.
 
     A params file carries its own convention; an explicit --convention that
     disagrees with it is an error.  Without a file the default is paper.
     """
-    if getattr(args, "params", None) and getattr(args, "paper_params", False):
+    if args.params and args.paper_params:
         raise ParameterError("--params and --paper-params are mutually exclusive")
-    if getattr(args, "params", None):
+    convention = args.convention or "paper"
+    if args.params:
         file_genus, convention, a1, a2 = params_from_file(args.params)
-        if genus is not None and file_genus != genus:
+        if file_genus != genus:
             raise ParameterError(f"--genus {genus} disagrees with parameter file genus {file_genus}")
         if args.convention is not None and args.convention != convention:
             raise ParameterError(f"--convention {args.convention} disagrees with parameter "
                                  f"file convention {convention}")
-        return file_genus, convention, a1, a2, "file"
-    convention = args.convention or "paper"
-    if getattr(args, "paper_params", False):
-        a1, a2 = builtin_params(genus)
-        return genus, convention, a1, a2, "paper-params"
-    a1, a2 = seeded_params(genus, args.seed)
-    return genus, convention, a1, a2, "seed"
-
-
-def _envelope(args, command: str, **extra) -> dict:
-    out = {"command": command, "version": __version__, "seed": args.seed}
-    out.update(extra)
-    return out
-
-
-def _curve_fields(curve) -> dict:
-    return {
+        genus, source = file_genus, "file"
+    elif args.paper_params:
+        (a1, a2), source = builtin_params(genus), "paper-params"
+    else:
+        (a1, a2), source = seeded_params(genus, seed), "seed"
+    curve = build_curve(genus, a1, a2, convention)
+    return curve, {
         "genus": curve.genus,
         "convention": curve.convention,
         "params": {
             "a1": [format_rational(x) for x in curve.a1],
             "a2": [format_rational(x) for x in curve.a2],
         },
+        "param_source": source,
     }
 
 
-def _emit(args, payload: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _maybe_timing(args, payload: dict, started: float) -> None:
-    if not args.no_timing:
-        payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-
-
-def cmd_rank(args) -> int:
-    started = time.perf_counter()
-    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
-    curve = build_curve(genus, a1, a2, convention)
-    cert = certify(curve, policy=args.policy, seed=args.seed)
-    payload = _envelope(args, "rank", **_curve_fields(curve),
-                        param_source=source,
-                        certificate=cert.to_json_dict(with_timing=not args.no_timing))
-    _maybe_timing(args, payload, started)
-    _emit(args, payload, [
-        f"genus {genus} ({convention}): rank {cert.rank} of max {cert.max_possible} "
-        f"[{cert.method}]" + (" MAXIMAL" if cert.is_maximal else " NOT MAXIMAL"),
-    ])
-    return 0 if cert.is_maximal else 1
-
-
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def _check_range(args) -> None:
     if args.g_min > args.g_max:
         raise ParameterError(f"--g-min {args.g_min} exceeds --g-max {args.g_max}")
+
+
+# Each command returns (report fields, human-readable lines, claims hold);
+# `run` adds the envelope and timing, prints one of the two forms and maps
+# the verdict to the exit code.
+
+def cmd_rank(args):
+    curve, fields = _curve(args, args.genus, args.seed)
+    cert = certify(curve, policy=args.policy, seed=args.seed)
+    fields["certificate"] = cert.to_json_dict(with_timing=not args.no_timing)
+    return fields, [
+        f"genus {curve.genus} ({curve.convention}): rank {cert.rank} of max {cert.max_possible} "
+        f"[{cert.method}]" + (" MAXIMAL" if cert.is_maximal else " NOT MAXIMAL"),
+    ], cert.is_maximal
+
+
+def cmd_sweep(args):
+    _check_range(args)
     rows = []
     lines = []
     all_maximal = True
     for genus in range(args.g_min, args.g_max + 1):
-        case_args = argparse.Namespace(**vars(args))
-        case_args.seed = sweep_seed(args.seed, genus) if not (
-            getattr(args, "params", None) or args.paper_params) else args.seed
-        genus_, convention, a1, a2, source = _resolve_params(case_args, genus)
-        curve = build_curve(genus_, a1, a2, convention)
+        curve, fields = _curve(args, genus, sweep_seed(args.seed, genus))
         cert = certify(curve, policy=args.policy, seed=args.seed)
         all_maximal = all_maximal and cert.is_maximal
-        rows.append({**_curve_fields(curve), "param_source": source,
-                     "certificate": cert.to_json_dict(with_timing=not args.no_timing)})
-        lines.append(f"g={genus_}: rank {cert.rank}/{cert.max_possible} [{cert.method}]"
+        fields["certificate"] = cert.to_json_dict(with_timing=not args.no_timing)
+        rows.append(fields)
+        lines.append(f"g={curve.genus}: rank {cert.rank}/{cert.max_possible} [{cert.method}]"
                      + ("" if cert.is_maximal else "  ** not maximal **"))
-    payload = _envelope(args, "sweep", g_min=args.g_min, g_max=args.g_max, cases=rows)
-    _maybe_timing(args, payload, started)
-    _emit(args, payload, lines)
-    return 0 if all_maximal else 1
+    return {"g_min": args.g_min, "g_max": args.g_max, "cases": rows}, lines, all_maximal
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
-    if convention != "paper":
-        print("oracle requires the paper convention (closed forms are stated for it)",
-              file=sys.stderr)
-        return 2
-    curve = build_curve(genus, a1, a2, convention)
+def cmd_oracle(args):
+    curve, fields = _curve(args, args.genus, args.seed)
+    if curve.convention != "paper":
+        raise ParameterError("oracle requires the paper convention "
+                             "(closed forms are stated for it)")
     mismatches = []
-    for (i, j) in row_pairs(genus):
+    for (i, j) in row_pairs(curve.genus):
         for h in (1, 2):
             got = nu_wronskian(curve, i, j, h)
             want = nu_closed_form(curve, i, j, h)
@@ -159,33 +133,24 @@ def cmd_oracle(args) -> int:
                     "wronskian": format_rational(got.coefficient(degree)),
                     "closed_form": format_rational(want.coefficient(degree)),
                 })
-    payload = _envelope(args, "oracle", **_curve_fields(curve), param_source=source,
-                        pairs_checked=len(row_pairs(genus)) * 2,
-                        mismatches=mismatches, ok=not mismatches)
-    _maybe_timing(args, payload, started)
-    lines = [f"genus {genus}: closed form == wronskian on {payload['pairs_checked']} blocks: "
-             + ("PASS" if not mismatches else "FAIL")]
+    fields.update(pairs_checked=len(row_pairs(curve.genus)) * 2,
+                  mismatches=mismatches, ok=not mismatches)
+    lines = [f"genus {curve.genus}: closed form == wronskian on {fields['pairs_checked']} "
+             "blocks: " + ("PASS" if not mismatches else "FAIL")]
     for m in mismatches:
         lines.append(f"  mismatch at (i={m['i']}, j={m['j']}, h={m['h']}), "
                      f"degree {m['degree']}: {m['wronskian']} != {m['closed_form']}")
-    _emit(args, payload, lines)
-    return 0 if not mismatches else 1
+    return fields, lines, not mismatches
 
 
-def cmd_induction(args) -> int:
-    started = time.perf_counter()
-    if args.g_min > args.g_max:
-        raise ParameterError(f"--g-min {args.g_min} exceeds --g-max {args.g_max}")
+def cmd_induction(args):
+    _check_range(args)
     a_values = [parse_rational(a) for a in (args.a or ["2", "3", "-5/7"])]
     for a in a_values:
         if a in (0, 1):
             raise ParameterError("family parameter a must avoid 0 and 1")
     reports = induction_sweep(args.g_min, args.g_max, a_values)
     ok = all(r.det5_nonzero and r.tau_closed_form_matches for r in reports)
-    payload = _envelope(args, "induction", g_min=args.g_min, g_max=args.g_max,
-                        a_values=[format_rational(a) for a in a_values],
-                        reports=[r.to_json_dict() for r in reports], ok=ok)
-    _maybe_timing(args, payload, started)
     lines = []
     for r in reports:
         flags = []
@@ -200,41 +165,28 @@ def cmd_induction(args) -> int:
         status = "ok" if not flags else " ".join(flags)
         lines.append(f"g={r.genus} a={format_rational(r.a)} ({r.parity}): det5 nonzero: "
                      f"{r.det5_nonzero}; {status}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return {"g_min": args.g_min, "g_max": args.g_max,
+            "a_values": [format_rational(a) for a in a_values],
+            "reports": [r.to_json_dict() for r in reports], "ok": ok}, lines, ok
 
 
-def cmd_classes(args) -> int:
-    started = time.perf_counter()
+def cmd_classes(args):
     report = classes_report()
-    payload = _envelope(args, "classes", results=report)
-    _maybe_timing(args, payload, started)
-    lines = []
-    for name, value in report.items():
-        lines.append(f"{name}: {json.dumps(value, sort_keys=True)}")
-    _emit(args, payload, lines)
-    return 0
+    lines = [f"{name}: {json.dumps(value, sort_keys=True)}" for name, value in report.items()]
+    return {"results": report}, lines, True
 
 
-def cmd_curve_validate(args) -> int:
-    started = time.perf_counter()
-    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
-    curve = build_curve(genus, a1, a2, convention)
+def cmd_curve_validate(args):
+    curve, fields = _curve(args, args.genus, args.seed)
     report = node_check(curve)
-    payload = _envelope(args, "curve validate", **_curve_fields(curve),
-                        param_source=source, ok=report.ok,
-                        failures=list(report.failures))
-    _maybe_timing(args, payload, started)
-    lines = [f"genus {genus} ({convention}): node check "
+    fields.update(ok=report.ok, failures=list(report.failures))
+    lines = [f"genus {curve.genus} ({curve.convention}): node check "
              + ("PASS" if report.ok else "FAIL")] + [f"  {f}" for f in report.failures]
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return fields, lines, report.ok
 
 
-def cmd_matrix_export(args) -> int:
-    started = time.perf_counter()
-    genus, convention, a1, a2, source = _resolve_params(args, args.genus)
-    curve = build_curve(genus, a1, a2, convention)
+def cmd_matrix_export(args):
+    curve, fields = _curve(args, args.genus, args.seed)
     matrix = assemble_matrix(curve)
     if args.format == "json":
         data = matrix_to_json(matrix).encode("utf-8")
@@ -242,14 +194,25 @@ def cmd_matrix_export(args) -> int:
         data = matrix_to_bytes(matrix)
     with open(args.out, "wb") as fh:
         fh.write(data)
-    payload = _envelope(args, "matrix export", **_curve_fields(curve),
-                        param_source=source, out=args.out, format=args.format,
-                        rows=matrix.rows, cols=matrix.cols,
-                        sha256=matrix_checksum(matrix))
-    _maybe_timing(args, payload, started)
-    _emit(args, payload, [f"wrote {matrix.rows}x{matrix.cols} matrix to {args.out} "
-                          f"({args.format}, sha256 {payload['sha256'][:16]}...)"])
-    return 0
+    fields.update(out=args.out, format=args.format, rows=matrix.rows, cols=matrix.cols,
+                  sha256=matrix_checksum(matrix))
+    return fields, [f"wrote {matrix.rows}x{matrix.cols} matrix to {args.out} "
+                    f"({args.format}, sha256 {fields['sha256'][:16]}...)"], True
+
+
+def run(args) -> int:
+    """Run the parsed command, print its report and return the exit code."""
+    started = time.perf_counter()
+    fields, lines, ok = args.func(args)
+    report = {"command": args.name, "version": __version__, "seed": args.seed, **fields}
+    if not args.no_timing:
+        report["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,38 +226,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--policy", choices=("fast", "exact"), default="fast")
     _add_common(p)
-    p.set_defaults(func=cmd_rank)
+    p.set_defaults(func=cmd_rank, name="rank")
 
     p = sub.add_parser("sweep", help="rank certificates over a genus range")
     p.add_argument("--g-min", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
     p.add_argument("--policy", choices=("fast", "exact"), default="fast")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, name="sweep")
 
     p = sub.add_parser("oracle", help="closed form vs wronskian on every block")
     p.add_argument("--genus", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, name="oracle")
 
     p = sub.add_parser("induction", help="verify the genus-induction 5x5 blocks")
     p.add_argument("--g-min", type=int, default=13)
     p.add_argument("--g-max", type=int, default=100)
     p.add_argument("--a", action="append", metavar="RATIONAL",
                    help="family parameter (repeatable; default 2, 3, -5/7)")
-    _add_common(p, needs_params=False)
-    p.set_defaults(func=cmd_induction)
+    _add_common(p, builds_curve=False)
+    p.set_defaults(func=cmd_induction, name="induction")
 
     p = sub.add_parser("classes", help="divisor-class computations (genus 12)")
-    _add_common(p, needs_params=False)
-    p.set_defaults(func=cmd_classes)
+    _add_common(p, builds_curve=False)
+    p.set_defaults(func=cmd_classes, name="classes")
 
     p = sub.add_parser("curve", help="curve utilities")
     curve_sub = p.add_subparsers(dest="curve_command", required=True)
     pv = curve_sub.add_parser("validate", help="build a curve and check all nodes")
     pv.add_argument("--genus", type=int, required=True)
     _add_common(pv)
-    pv.set_defaults(func=cmd_curve_validate)
+    pv.set_defaults(func=cmd_curve_validate, name="curve validate")
 
     p = sub.add_parser("matrix", help="matrix utilities")
     matrix_sub = p.add_subparsers(dest="matrix_command", required=True)
@@ -303,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", required=True)
     pe.add_argument("--format", choices=("json", "bin"), default="json")
     _add_common(pe)
-    pe.set_defaults(func=cmd_matrix_export)
+    pe.set_defaults(func=cmd_matrix_export, name="matrix export")
 
     return parser
 
@@ -312,10 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

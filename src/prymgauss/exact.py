@@ -32,10 +32,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" literal.
 
     Unicode minus (U+2212) is accepted alongside the ASCII hyphen.  Anything
-    else — floats in particular — is rejected.
+    else — floats and booleans in particular — is rejected.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational value: {value!r} (booleans are not accepted)")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -77,15 +79,24 @@ class BadPrimeError(ValueError):
         self.prime = prime
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless 2^30 < p < 2^31, the range of FIELD_PRIMES.
+
+    Below 2^31 a product of two residues stays below 2^62, so the int64
+    arithmetic of the modular rank cannot overflow.
+    """
+    if not 2**30 < p < 2**31:
+        raise ValueError(f"modulus {p} outside (2^30, 2^31); use a field prime")
+
+
 class PrimeField:
-    """Arithmetic context for Z/pZ with p prime and > 2^30.
+    """Arithmetic context for Z/pZ with p prime and 2^30 < p < 2^31.
 
     Elements are canonical residues 0 <= r < p, stored as plain ints.
     """
 
     def __init__(self, p: int):
-        if p <= 2**30:
-            raise ValueError(f"modulus {p} too small; field primes must exceed 2^30")
+        check_modulus(p)
         self.p = p
 
     def reduce(self, x: RationalLike) -> int:

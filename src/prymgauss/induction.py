@@ -51,11 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .curves import PrymBinaryCurve, build_curve, projection_node_index
 from .exact import RationalLike, format_rational, parse_rational
+from .rank import det_exact
 
 
 def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
@@ -117,33 +117,6 @@ def build_induction_submatrix(genus: int, a: RationalLike,
     return InductionSubmatrix(genus=genus, a=a,
                               parity="even" if genus % 2 == 0 else "odd",
                               node_index=r, columns=pairs, entries=entries)
-
-
-def _det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a small rational matrix (fraction-free on cleared ints)."""
-    n = len(rows)
-    scale = Fraction(1)
-    work: list[list[int]] = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        pv = work[c][c]
-        for r in range(c + 1, n):
-            f = work[r][c]
-            for cc in range(c, n):
-                work[r][cc] = (work[r][cc] * pv - f * work[c][cc]) // prev
-        prev = pv
-    return Fraction(sign * work[n - 1][n - 1]) / scale
 
 
 def even_reference_matrix(k: int) -> tuple[tuple[int, ...], ...]:
@@ -284,7 +257,7 @@ def verify_det5(genus: int, a: RationalLike) -> InductionReport:
     """
     a = parse_rational(a)
     sub = build_induction_submatrix(genus, a, curve=family_curve(genus, a))
-    det5 = _det_exact(sub.entries)
+    det5 = det_exact(sub.entries)
     scaled = check_scaled_matrix(genus, a, submatrix=sub)
     tau_ok = check_tau_closed_form(genus, a, submatrix=sub)
     # Display convention: the even-parity closed form is usually quoted for

@@ -13,7 +13,9 @@ Two routes:
 * `rank_exact` — fraction-free (Bareiss) elimination over the integers after
   clearing row denominators, with the pivot chosen of minimal bit length to
   limit coefficient growth.  Intermediate divisions are exact by the Bareiss
-  identity; the result is the true rational rank.
+  identity; the result is the true rational rank.  `det_exact` runs the
+  same elimination for the determinant of a small square matrix (the
+  induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries a few primes and falls
 back to the exact path only when no modular run reaches the maximum;
@@ -41,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .curves import PrymBinaryCurve
-from .exact import FIELD_PRIMES, BadPrimeError
+from .exact import FIELD_PRIMES, BadPrimeError, check_modulus
 from .gaussmap import assemble_matrix, assemble_mod_p, matrix_shape
 
 
@@ -53,8 +55,10 @@ def _entry_rows(matrix) -> Sequence[Sequence[Fraction]]:
 def reduce_mod_p(matrix, p: int) -> np.ndarray:
     """The matrix reduced mod p, as int64 residues in [0, p).
 
-    Raises BadPrimeError if p divides any entry denominator.
+    Raises ValueError unless 2^30 < p < 2^31, and BadPrimeError if p
+    divides any entry denominator.
     """
+    check_modulus(p)
     rows = _entry_rows(matrix)
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
@@ -126,9 +130,36 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
 
 def rank_exact(matrix) -> int:
     """True rank over the rationals via fraction-free elimination."""
-    rows = _entry_rows(matrix)
-    if not rows:
-        return 0
+    return _bareiss(_entry_rows(matrix))[0]
+
+
+def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix, by the same elimination.
+
+    The last Bareiss pivot is the determinant of the cleared integer
+    matrix up to the sign of the row swaps; dividing by the product of the
+    row denominators gives the rational determinant.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    rank, pivot, sign = _bareiss(rows)
+    if rank < n:
+        return Fraction(0)
+    scale = 1
+    for row in rows:
+        scale *= lcm(*(x.denominator for x in row))
+    return Fraction(sign * pivot, scale)
+
+
+def _bareiss(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
+    """Fraction-free elimination after clearing row denominators.
+
+    Returns (rank, last pivot, sign of the row swaps).  At full rank on a
+    square matrix, sign * last pivot is the determinant of the cleared
+    integer matrix (the Bareiss identity); zero rows are dropped first, so
+    a matrix with a zero row never reaches full rank.
+    """
     work: list[list[int]] = []
     for row in rows:
         den = lcm(*(x.denominator for x in row)) if row else 1
@@ -136,10 +167,11 @@ def rank_exact(matrix) -> int:
         if any(ints):
             work.append(ints)
     if not work:
-        return 0
+        return 0, 1, 1
     nrows, ncols = len(work), len(work[0])
     rank = 0
     prev = 1
+    sign = 1
     for c in range(ncols):
         pivot = None
         best = None
@@ -154,6 +186,7 @@ def rank_exact(matrix) -> int:
             continue
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
         pivot_row = work[rank]
         pv = pivot_row[c]
         for r in range(rank + 1, nrows):
@@ -171,7 +204,7 @@ def rank_exact(matrix) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, prev, sign
 
 
 @dataclass(frozen=True)

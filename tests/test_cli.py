@@ -197,8 +197,10 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["certificate"]["rank"] == 3
 
 
-# sha256 of the exact stdout of `--json --no-timing`, pinned on the Fraction
-# assembly route that preceded modular-first certification.
+# sha256 of the exact stdout of each command.  A command that names no output
+# flags runs with `--json --no-timing`; one that ends in `--no-timing` is
+# pinned in human form.  The first four were pinned on the Fraction assembly
+# route that preceded modular-first certification.
 GOLDEN_STDOUT_SHA256 = {
     "rank --genus 12 --paper-params --convention script":
         "f4fba1a0ea2c00ffeeaeebb0652a008b006fb9b1be1fbb84bd352c6a8a7cdbfa",
@@ -213,12 +215,31 @@ GOLDEN_STDOUT_SHA256 = {
         "7f323fe4b63bc40d3c4903bab155db05b9d8ce5c524395d5144e9a47c7be5585",
     "induction --g-min 100 --g-max 100":
         "6cfef2fe9eedff00d11ccb5a7c322948caa88bb0a5c98d45c983d76faf1c0267",
+    # pinned before the commands shared one report runner
+    "oracle --genus 9 --seed 3":
+        "7083a05c60c51097a3dab6d1b021be1241e6d0e72fd6a8be06ffbffcd3ef7b58",
+    "classes":
+        "c2a1b12684a78419086c2b6790ea062a11d85ff0876fe34de359ee8f72d13df8",
+    "curve validate --genus 8 --seed 5":
+        "a88ed235e0346ae4f09f0c9e881e9bb2386c1cf7a75840452c17c298c95b498f",
+    "matrix export --genus 6 --seed 1 --format bin --out m.bin":
+        "00756215fd2f54fc3e55c82750a26ae97cc1143da3a57f80b6a9a1ccc2bbdaa5",
+    "rank --genus 12 --paper-params --convention script --no-timing":
+        "1922454d3da09677f5ec26de624aa335fbcf897f588a954b202bc33b8c00ea27",
+    "sweep --g-min 13 --g-max 21 --seed 0 --no-timing":
+        "2b59f50463db10b9de51496d24a510924685f8b84126661bd520b7b788b052bc",
+    "induction --g-min 13 --g-max 20 --no-timing":
+        "4d49f0f8e1bfb7dc31e8211c85424aca4aebf89a14105a2699a1aafe44213af6",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
-def test_golden_stdout(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split(), "--json", "--no-timing")
+def test_golden_stdout(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)     # matrix export writes its relative --out here
+    argv = command.split()
+    if argv[-1] != "--no-timing":
+        argv += ["--json", "--no-timing"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
@@ -264,3 +285,35 @@ def test_convention_defaults_to_paper_without_params_file(capsys):
                            "--json", "--no-timing")
     assert code == 0
     assert json.loads(out)["convention"] == "paper"
+
+
+def run_cli_exit(capsys, *argv):
+    """Like run_cli, but an argparse usage error's SystemExit becomes its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "induction --g-min 13 --g-max 13 --a 2 --convention script",
+    "classes --convention paper",
+    "rank --genus 5 --params {dir}/absent.json",
+    "rank --genus 4 --params {dir}/bool-genus.json",
+    "curve validate --genus 4 --params {dir}/bool-a1.json",
+    "sweep --g-min 9 --g-max 4",
+    "induction --g-min 14 --g-max 13",
+    "induction --g-min 13 --g-max 13 --a 1",
+    "oracle --genus 5 --seed 1 --convention script",
+])
+def test_input_errors_exit_2_on_stderr_only(capsys, tmp_path, argv):
+    (tmp_path / "bool-genus.json").write_text(
+        '{"genus": true, "convention": "paper", "a1": ["1", "2", "3"], "a2": ["4", "5", "6"]}')
+    (tmp_path / "bool-a1.json").write_text(
+        '{"genus": 4, "convention": "paper", "a1": [true, "2", "3"], "a2": ["4", "5", "6"]}')
+    code, out, err = run_cli_exit(capsys, *argv.replace("{dir}", str(tmp_path)).split(),
+                                  "--json", "--no-timing")
+    assert code == 2
+    assert out == "" and err.strip()

@@ -27,7 +27,7 @@ def test_parse_rational_accepts_exact_literals(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3.0", "1e3", "a", "1/2/3", "1/0", 0.5, None])
+@pytest.mark.parametrize("bad", ["1.5", "3.0", "1e3", "a", "1/2/3", "1/0", 0.5, None, True, False])
 def test_parse_rational_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

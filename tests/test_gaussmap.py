@@ -371,6 +371,14 @@ def test_json_rejects_non_matrix_objects(text):
         matrix_from_json(text)
 
 
+@pytest.mark.parametrize("cell", [True, False])
+def test_json_rejects_boolean_cells(gen_curve, cell):
+    data = json.loads(matrix_to_json(assemble_matrix(gen_curve)))
+    data["rows"][0][0] = cell
+    with pytest.raises(ValueError, match="boolean"):
+        matrix_from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize("convention", ["mystery", None, ["paper"]])
 def test_json_rejects_unknown_convention(gen_curve, convention):
     data = json.loads(matrix_to_json(assemble_matrix(gen_curve)))

@@ -8,10 +8,11 @@ from prymgauss import (build_induction_submatrix, check_scaled_matrix,
                        check_tau_closed_form, family_curve, induction_sweep,
                        selected_pairs, tau_closed_form, tau_interior, verify_det5)
 from prymgauss.induction import (even_reference_matrix, odd_reference_matrix,
-                                 reference_matrix, _det_exact)
+                                 reference_matrix)
 from prymgauss import InductionSubmatrix, Poly, PrymBinaryCurve, assemble_matrix, nu_wronskian
 from prymgauss import induction as induction_module
 from prymgauss.curves import projection_node_index
+from prymgauss.rank import det_exact
 
 
 def test_selected_pairs_even():
@@ -90,7 +91,7 @@ def test_reference_determinants_nonzero_sweep():
     for k in range(6, 51):
         for ref in (even_reference_matrix(k), odd_reference_matrix(k)):
             rows = [[Fraction(x) for x in row] for row in ref]
-            assert _det_exact(rows) != 0, (k, ref)
+            assert det_exact(rows) != 0, (k, ref)
 
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (17, 3), (18, Fraction(-5, 7))])

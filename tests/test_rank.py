@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
-                       build_curve, certify, rank_exact, rank_mod_p, reduce_mod_p,
-                       seeded_params)
+                       assemble_mod_p, build_curve, certify, rank_exact, rank_mod_p,
+                       reduce_mod_p, seeded_params)
 from prymgauss import rank as rank_module
+from prymgauss.rank import det_exact
 
 P = FIELD_PRIMES[0]
 
@@ -192,6 +196,46 @@ def test_reduce_mod_p_matches_field_reduction():
         reduce_mod_p([[Fraction(1), Fraction(2)], [Fraction(3)]], P)
     with pytest.raises(BadPrimeError):
         reduce_mod_p([[Fraction(1), Fraction(1, 2 * P)]], P)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**31, 2**30, 97])
+def test_modulus_outside_word_range_is_rejected(p):
+    # exact rank 1; an int64 elimination mod 2^61 - 1 overflows and reads 2
+    m = [[Fraction(1, 3), Fraction(1)], [Fraction(1), Fraction(3)]]
+    with pytest.raises(ValueError, match="outside"):
+        rank_mod_p(m, p)
+    with pytest.raises(ValueError, match="outside"):
+        assemble_mod_p(build_curve(5, *seeded_params(5, 0)), p)
+    assert rank_mod_p(m, 2**31 - 1) == 1 == rank_exact(m)
+
+
+@st.composite
+def square_rational_matrices(draw):
+    """1x1..5x5 rational matrices; about half are made singular by setting
+    one row to a multiple of another row, or to zero."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(entry) if i != j else Fraction(0)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_rational_matrices())
+def test_det_exact_matches_sympy(rows):
+    want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows]).det()
+    got = det_exact(rows)
+    assert sympy.Rational(got.numerator, got.denominator) == want
+    assert (got == 0) == (rank_exact(rows) < len(rows))
+
+
+def test_det_exact_rejects_non_square_rows():
+    with pytest.raises(ValueError, match="non-square"):
+        det_exact(frac_rows([[1, 2], [3, 4], [5, 6]]))
 
 
 # -- modular-first certification of curves -----------------------------
