@@ -59,7 +59,7 @@ def _curve(args, genus: int, seed: int):
     if args.params:
         file_genus, convention, a1, a2 = params_from_file(args.params)
         if file_genus != genus:
-            raise ParameterError(f"--genus {genus} disagrees with parameter file genus {file_genus}")
+            raise ParameterError(f"genus {genus} disagrees with parameter file genus {file_genus}")
         if args.convention is not None and args.convention != convention:
             raise ParameterError(f"--convention {args.convention} disagrees with parameter "
                                  f"file convention {convention}")
@@ -101,6 +101,9 @@ def cmd_rank(args):
 
 def cmd_sweep(args):
     _check_range(args)
+    if args.params and args.g_min != args.g_max:
+        raise ParameterError(f"a parameter file fixes one genus; sweep range "
+                             f"{args.g_min}..{args.g_max} spans more than one")
     rows = []
     lines = []
     all_maximal = True

@@ -53,8 +53,8 @@ class ParameterError(ValueError):
 class PrymBinaryCurve:
     """Genus, parameter rows, and the derived embedding polynomials.
 
-    The constructor keeps only the parameters, k and A2.  M, alpha, uchart
-    and alpha_derivative are built per index on first access and cached;
+    The constructor keeps only the parameters, k and A2.  M, alpha and
+    alpha_derivative are built per index on first access and cached;
     a cache entry never changes once filled, and two threads that fill the
     same entry store identical values, so sharing a curve across threads is
     safe.
@@ -70,7 +70,6 @@ class PrymBinaryCurve:
         self.A2 = _product(self.a2)
         self._m: dict[int, Poly] = {}
         self._alpha: dict[tuple[int, int], Poly] = {}
-        self._uchart: dict[tuple[int, int], Poly] = {}
         self._dalpha: dict[tuple[int, int], Poly] = {}
         self._node_values: dict[tuple[int, int, int], Fraction] = {}
 
@@ -93,15 +92,6 @@ class PrymBinaryCurve:
         a = self.params(eps)[i - 1]
         base = self.M(eps).div_linear(a)
         return base * Poly((-c, delta))
-
-    def _build_uchart(self, i: int, eps: int) -> Poly:
-        delta, c = self.coeff_pair(i, eps)
-        a = self.params(eps)[i - 1]
-        # MM(u) = prod (1 - a_r u) is M with coefficients reversed.
-        mm = Poly(tuple(reversed(self.M(eps).padded(self.genus))))
-        # (1 - a u) = -a (u - 1/a); a is nonzero by the curve invariants.
-        base = mm.div_linear(Fraction(1) / a).scale(Fraction(-1) / a)
-        return base * Poly((delta, -c))
 
     @staticmethod
     def _cached(table: dict, key: tuple, build):
@@ -126,10 +116,6 @@ class PrymBinaryCurve:
     def alpha(self, i: int, eps: int) -> Poly:
         """i-th embedding coordinate of component eps in the t chart."""
         return self._cached(self._alpha, (i, eps), self._build_alpha)
-
-    def uchart(self, i: int, eps: int) -> Poly:
-        """i-th embedding coordinate of component eps in the u chart."""
-        return self._cached(self._uchart, (i, eps), self._build_uchart)
 
     def alpha_derivative(self, i: int, eps: int) -> Poly:
         """Cached d/dt of alpha(i, eps)."""

@@ -7,10 +7,11 @@ rationals, ascending degree, with no trailing zero coefficient.  Everything
 here is immutable and side-effect free, so values can be shared freely
 between threads.
 
-A small prime-field layer supports modular rank bounds: residues are plain
-ints, the modulus lives on the `PrimeField` context.  The module ships a
-fixed list of word-sized primes (the 25 smallest primes above 2^30) so that
-modular runs are reproducible; callers select an offset into the list.
+A small prime-field layer supports modular rank bounds: `reduce_mod_p` is
+the one rational -> residue reduction, to int64 residues in [0, p).  The
+module ships a fixed list of word-sized primes (the 25 smallest primes above
+2^30) so that modular runs are reproducible; callers select an offset into
+the list.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
+import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -89,33 +91,59 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} outside (2^30, 2^31); use a field prime")
 
 
-class PrimeField:
-    """Arithmetic context for Z/pZ with p prime and 2^30 < p < 2^31.
+def _entry_rows(matrix) -> Sequence[Sequence[Fraction]]:
+    """Accept a GaussMatrix or any sequence of rational rows."""
+    return matrix.entries if hasattr(matrix, "entries") else matrix
 
-    Elements are canonical residues 0 <= r < p, stored as plain ints.
+
+def reduce_mod_p(matrix, p: int) -> np.ndarray:
+    """The matrix (a GaussMatrix or rational rows) reduced mod p, as int64
+    residues in [0, p).
+
+    Raises ValueError unless 2^30 < p < 2^31 or if the rows differ in
+    length, and BadPrimeError if p divides any entry denominator.
     """
+    check_modulus(p)
+    rows = _entry_rows(matrix)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows differ in length")
+    count = len(rows) * ncols
+    nums = np.fromiter((x.numerator % p for x in chain.from_iterable(rows)),
+                       dtype=np.int64, count=count)
+    dens = np.fromiter((x.denominator % p for x in chain.from_iterable(rows)),
+                       dtype=np.int64, count=count)
+    if not dens.all():
+        raise BadPrimeError(p)
+    nums *= _inverse_mod_p(dens, p)
+    nums %= p
+    return nums.reshape(len(rows), ncols)
 
-    def __init__(self, p: int):
-        check_modulus(p)
-        self.p = p
 
-    def reduce(self, x: RationalLike) -> int:
-        """Image of a rational in the field; BadPrimeError if p | denominator."""
-        x = parse_rational(x)
-        den = x.denominator % self.p
-        if den == 0:
-            raise BadPrimeError(self.p)
-        return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
+def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise values^(p-2) mod p, the inverse of each nonzero residue.
 
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+    Overwrites `values`; in-place products keep the temporaries to one array.
+    """
+    result = np.ones_like(values)
+    e = p - 2
+    while e:
+        if e & 1:
+            result *= values
+            result %= p
+        values *= values
+        values %= p
+        e >>= 1
+    return result
 
 
-def _lcm_of_denominators(coeffs: Iterable[Fraction]) -> int:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return den
+def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integers, lcm): the row times the lcm of its denominators.
+
+    The integers are exact; an empty row gives ([], 1).
+    """
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 class Poly:
@@ -147,11 +175,6 @@ class Poly:
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def identity(cls) -> "Poly":
-        """The polynomial t."""
-        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots: Sequence[RationalLike]) -> "Poly":
@@ -227,10 +250,8 @@ class Poly:
             return Poly(())
         # Clear denominators and convolve over machine ints: much faster
         # than Fraction addition, and exact.
-        da = _lcm_of_denominators(a)
-        db = _lcm_of_denominators(b)
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
+        ia, da = clear_denominators(a)
+        ib, db = clear_denominators(b)
         out = [0] * (len(ia) + len(ib) - 1)
         for i, ai in enumerate(ia):
             if ai:

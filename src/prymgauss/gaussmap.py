@@ -11,6 +11,8 @@ splits into a polynomial part and a torsion part:
                  - alpha'_{i,1}(a_{h,1}) alpha'_{j,2}(a_{h,2}),
 
   and at P_{g+1} the same expression in the u-chart derivatives at u = 0.
+  Since uchart_i(u) = u^(g-1) alpha_i(1/u), the u-chart slope at u = 0 is
+  alpha_i's coefficient of degree g-2, read from the cached alpha.
 
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
@@ -49,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import CONVENTIONS, PrymBinaryCurve
-from .exact import Poly, PrimeField, format_rational, parse_rational
+from .exact import Poly, format_rational, parse_rational, reduce_mod_p
 
 
 def row_pairs(genus: int) -> tuple[tuple[int, int], ...]:
@@ -120,13 +122,14 @@ def tau_interior(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Fraction:
 def tau_infinity(curve: PrymBinaryCurve, i: int, j: int) -> Fraction:
     """Torsion value of (i, j) at the node P_{g+1} (u = 0 in the far chart).
 
-    The u-derivative at 0 is the degree-1 coefficient of the chart
-    polynomial.
+    The u-derivative at 0 of uchart_i(u) = u^(g-1) alpha_i(1/u) is alpha_i's
+    coefficient of degree g-2.
     """
-    gja = curve.uchart(j, 1).coefficient(1)
-    gib = curve.uchart(i, 2).coefficient(1)
-    gia = curve.uchart(i, 1).coefficient(1)
-    gjb = curve.uchart(j, 2).coefficient(1)
+    d = curve.genus - 2
+    gja = curve.alpha(j, 1).coefficient(d)
+    gib = curve.alpha(i, 2).coefficient(d)
+    gia = curve.alpha(i, 1).coefficient(d)
+    gjb = curve.alpha(j, 2).coefficient(d)
     return gja * gib - gia * gjb
 
 
@@ -226,7 +229,10 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
     divisible by p either.
     """
     g = curve.genus
-    field = PrimeField(p)
+    constants = {eps: [curve.coeff_pair(i, eps) for i in range(1, g)] for eps in (1, 2)}
+    # One reduction per prime: rows a1, a2, c(component 1), c(component 2).
+    reduced = reduce_mod_p([curve.a1, curve.a2] + [[c for _, c in constants[eps]]
+                                                   for eps in (1, 2)], p)
     pairs = row_pairs(g)
     first = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
     second = np.array([j - 1 for _, j in pairs], dtype=np.intp)
@@ -235,10 +241,8 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
     node_derivs, slopes = [], []
     out = np.empty((len(pairs), 5 * g - 5), dtype=np.int64)
     for eps in (1, 2):
-        roots = np.array([field.reduce(a) for a in curve.params(eps)], dtype=np.int64)
-        constants = [curve.coeff_pair(i, eps) for i in range(1, g)]
-        delta = np.array([d for d, _ in constants], dtype=np.int64)
-        c = np.array([field.reduce(x) for _, x in constants], dtype=np.int64)
+        roots, c = reduced[eps - 1], reduced[eps + 1]
+        delta = np.array([d for d, _ in constants[eps]], dtype=np.int64)
         # Sample points first, then the interior nodes t = a_1..a_{g-1}, 0.
         points = np.concatenate((samples, roots, [0]))
         q, dq = _cofactors_mod_p(points, roots, p)
@@ -295,7 +299,10 @@ def _check_shape(genus, nrows: int, ncols: int) -> None:
 
 def matrix_from_json(text: str) -> GaussMatrix:
     """Parse `matrix_to_json` output; ValueError unless it is one whole matrix."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("matrix JSON nests too deeply") from exc
     if not isinstance(data, dict):
         raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
     missing = [key for key in ("genus", "convention", "rows") if key not in data]

@@ -174,14 +174,11 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
     return True
 
 
-def check_scaled_matrix(genus: int, a: RationalLike,
-                        submatrix: InductionSubmatrix | None = None) -> bool | None:
+def check_scaled_matrix(submatrix: InductionSubmatrix) -> bool | None:
     """Diagnostic: is the evaluated 4x4 block a row/column rescaling of the
     integer reference matrix?  Never overrides the det5 verdict."""
-    if submatrix is None:
-        submatrix = build_induction_submatrix(genus, a)
     computed = [row[:4] for row in submatrix.entries[:4]]
-    return _scaling_match(computed, reference_matrix(genus))
+    return _scaling_match(computed, reference_matrix(submatrix.genus))
 
 
 def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
@@ -207,14 +204,13 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
     return lead * a ** (genus - 2) / a2_product * prod
 
 
-def check_tau_closed_form(genus: int, a: RationalLike,
-                          submatrix: InductionSubmatrix | None = None) -> bool:
+def check_tau_closed_form(submatrix: InductionSubmatrix, closed: Fraction) -> bool:
     """Exact comparison of tau at the projection node (the block's entry
-    [4][4]) with its closed form, plus the nonvanishing assertion."""
-    if submatrix is None:
-        submatrix = build_induction_submatrix(genus, a)
+    [4][4]) with its closed form `closed`, which is
+    tau_closed_form(submatrix.genus, submatrix.a), plus the nonvanishing
+    assertion."""
     value = submatrix.entries[4][4]
-    return value != 0 and value == tau_closed_form(genus, a)
+    return value != 0 and value == closed
 
 
 @dataclass(frozen=True)
@@ -256,17 +252,17 @@ def verify_det5(genus: int, a: RationalLike) -> InductionReport:
     An inconclusive scaling diagnostic is reported as None.
     """
     a = parse_rational(a)
-    sub = build_induction_submatrix(genus, a, curve=family_curve(genus, a))
+    sub = build_induction_submatrix(genus, a)
     det5 = det_exact(sub.entries)
-    scaled = check_scaled_matrix(genus, a, submatrix=sub)
-    tau_ok = check_tau_closed_form(genus, a, submatrix=sub)
+    closed = tau_closed_form(genus, a)
     # Display convention: the even-parity closed form is usually quoted for
     # the swapped torsion order, i.e. with the opposite sign.
-    displayed = -tau_closed_form(genus, a) if genus % 2 == 0 else tau_closed_form(genus, a)
+    displayed = -closed if genus % 2 == 0 else closed
     return InductionReport(
         genus=genus, parity=sub.parity, a=a, node_index=sub.node_index,
         selected_columns=sub.columns, det5=det5, det5_nonzero=det5 != 0,
-        scaled4x4_matches=scaled, tau_closed_form_matches=tau_ok,
+        scaled4x4_matches=check_scaled_matrix(sub),
+        tau_closed_form_matches=check_tau_closed_form(sub, closed),
         tau_sign_matches_display=(sub.entries[4][4] == displayed),
     )
 

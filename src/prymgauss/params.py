@@ -81,7 +81,10 @@ def sweep_seed(seed: int, genus: int) -> int:
 def params_from_file(path: str | Path) -> tuple[int, str, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Load (genus, convention, a1, a2) from a JSON parameter file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ParameterError(f"parameter file {path} nests too deeply") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"parameter file {path} must hold a JSON object")
     try:

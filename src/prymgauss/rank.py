@@ -33,63 +33,18 @@ methods are the same as for `certify(assemble_matrix(curve))`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .curves import PrymBinaryCurve
-from .exact import FIELD_PRIMES, BadPrimeError, check_modulus
+from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators,
+                    reduce_mod_p)
 from .gaussmap import assemble_matrix, assemble_mod_p, matrix_shape
-
-
-def _entry_rows(matrix) -> Sequence[Sequence[Fraction]]:
-    """Accept a GaussMatrix or any sequence of rational rows."""
-    return matrix.entries if hasattr(matrix, "entries") else matrix
-
-
-def reduce_mod_p(matrix, p: int) -> np.ndarray:
-    """The matrix reduced mod p, as int64 residues in [0, p).
-
-    Raises ValueError unless 2^30 < p < 2^31, and BadPrimeError if p
-    divides any entry denominator.
-    """
-    check_modulus(p)
-    rows = _entry_rows(matrix)
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("matrix rows differ in length")
-    count = len(rows) * ncols
-    nums = np.fromiter((x.numerator % p for x in chain.from_iterable(rows)),
-                       dtype=np.int64, count=count)
-    dens = np.fromiter((x.denominator % p for x in chain.from_iterable(rows)),
-                       dtype=np.int64, count=count)
-    if not dens.all():
-        raise BadPrimeError(p)
-    nums *= _inverse_mod_p(dens, p)
-    nums %= p
-    return nums.reshape(len(rows), ncols)
-
-
-def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise values^(p-2) mod p, the inverse of each nonzero residue.
-
-    Overwrites `values`; in-place products keep the temporaries to one array.
-    """
-    result = np.ones_like(values)
-    e = p - 2
-    while e:
-        if e & 1:
-            result *= values
-            result %= p
-        values *= values
-        values %= p
-        e >>= 1
-    return result
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -130,7 +85,7 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
 
 def rank_exact(matrix) -> int:
     """True rank over the rationals via fraction-free elimination."""
-    return _bareiss(_entry_rows(matrix))[0]
+    return _bareiss([clear_denominators(row)[0] for row in _entry_rows(matrix)])[0]
 
 
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -143,29 +98,22 @@ def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    rank, pivot, sign = _bareiss(rows)
+    cleared = [clear_denominators(row) for row in rows]
+    rank, pivot, sign = _bareiss([ints for ints, _ in cleared])
     if rank < n:
         return Fraction(0)
-    scale = 1
-    for row in rows:
-        scale *= lcm(*(x.denominator for x in row))
-    return Fraction(sign * pivot, scale)
+    return Fraction(sign * pivot, math.prod(den for _, den in cleared))
 
 
-def _bareiss(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """Fraction-free elimination after clearing row denominators.
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of integer rows, in place.
 
     Returns (rank, last pivot, sign of the row swaps).  At full rank on a
-    square matrix, sign * last pivot is the determinant of the cleared
-    integer matrix (the Bareiss identity); zero rows are dropped first, so
-    a matrix with a zero row never reaches full rank.
+    square matrix, sign * last pivot is its determinant (the Bareiss
+    identity); zero rows are dropped first, so a matrix with a zero row
+    never reaches full rank.
     """
-    work: list[list[int]] = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            work.append(ints)
+    work = [row for row in rows if any(row)]
     if not work:
         return 0, 1, 1
     nrows, ncols = len(work), len(work[0])

@@ -9,7 +9,7 @@ import pytest
 
 from prymgauss import matrix_from_bytes, matrix_from_json
 from prymgauss.cli import main
-from prymgauss.params import params_to_file
+from prymgauss.params import params_to_file, seeded_params
 
 
 def run_cli(capsys, *argv):
@@ -307,13 +307,37 @@ def run_cli_exit(capsys, *argv):
     "induction --g-min 14 --g-max 13",
     "induction --g-min 13 --g-max 13 --a 1",
     "oracle --genus 5 --seed 1 --convention script",
+    "rank --genus 5 --params {dir}/deep.json",
+    "sweep --g-min 5 --g-max 6 --params {dir}/g5.json",
 ])
 def test_input_errors_exit_2_on_stderr_only(capsys, tmp_path, argv):
     (tmp_path / "bool-genus.json").write_text(
         '{"genus": true, "convention": "paper", "a1": ["1", "2", "3"], "a2": ["4", "5", "6"]}')
     (tmp_path / "bool-a1.json").write_text(
         '{"genus": 4, "convention": "paper", "a1": [true, "2", "3"], "a2": ["4", "5", "6"]}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    params_to_file(tmp_path / "g5.json", 5, "paper", *seeded_params(5, 3))
     code, out, err = run_cli_exit(capsys, *argv.replace("{dir}", str(tmp_path)).split(),
                                   "--json", "--no-timing")
     assert code == 2
     assert out == "" and err.strip()
+
+
+def test_sweep_range_wider_than_a_params_file_is_refused_before_any_work(capsys, tmp_path):
+    path = tmp_path / "g5.json"
+    params_to_file(path, 5, "paper", *seeded_params(5, 3))
+    code, out, err = run_cli(capsys, "sweep", "--g-min", "4", "--g-max", "5",
+                             "--params", str(path))
+    assert code == 2 and out == ""
+    assert "4..5" in err and "--genus" not in err
+
+
+def test_one_genus_sweep_over_a_params_file_keeps_its_output(capsys, tmp_path):
+    # sha256 measured before ranges wider than the file were refused
+    path = tmp_path / "g5.json"
+    params_to_file(path, 5, "paper", *seeded_params(5, 3))
+    code, out, _ = run_cli(capsys, "sweep", "--g-min", "5", "--g-max", "5",
+                           "--params", str(path), "--json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8c2373fd09e3a1efca191c7dde23a9cd2cf1d461cf8fd582c1182699151ee339")

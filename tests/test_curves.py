@@ -1,7 +1,6 @@
 """curve-model: construction, node checks, projection, torsion pattern."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -35,7 +34,6 @@ def test_alpha_second_block_script():
     for i in (3, 4):
         assert script.alpha(i, 1) == paper.alpha(i, 1).scale(384 ** 2)
         assert script.alpha(i, 2) == paper.alpha(i, 2)
-        assert script.uchart(i, 1) == paper.uchart(i, 1).scale(384 ** 2)
     for i in (1, 2):
         assert script.alpha(i, 1) == paper.alpha(i, 1)
 
@@ -113,22 +111,6 @@ def test_alpha_simple_zeros():
             for l in range(1, 7):
                 if l != i:
                     assert c.alpha(i, eps)(params[l - 1]) == 0
-
-
-def test_uchart_is_reversed_alpha():
-    # uchart(x) == x^(g-1) * alpha(1/x) at 5 random rational points
-    rng = random.Random(123)
-    a1, a2 = seeded_params(8, 21)
-    c = build_curve(8, a1, a2)
-    points = []
-    while len(points) < 5:
-        x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        if x != 0 and all(x * a != 1 for a in a1 + a2):
-            points.append(x)
-    for eps in (1, 2):
-        for i in (1, 3, 7):
-            for x in points:
-                assert c.uchart(i, eps)(x) == x ** 7 * c.alpha(i, eps)(1 / x)
 
 
 def test_projection_node_index():
@@ -210,7 +192,6 @@ def test_lazy_polynomials_are_cached_and_match_a_fresh_build():
             assert curve.M(eps) == Poly.from_roots(curve.params(eps))
             for i in range(1, 9):
                 assert curve.alpha(i, eps) is curve.alpha(i, eps)
-                assert curve.uchart(i, eps) is curve.uchart(i, eps)
                 assert curve.alpha_derivative(i, eps) == fresh.alpha(i, eps).derivative()
 
 

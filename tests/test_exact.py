@@ -1,12 +1,15 @@
 """exact-core: rational parsing, polynomial arithmetic, prime fields."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymgauss import BadPrimeError, FIELD_PRIMES, Poly, PrimeField, format_rational, parse_rational
+from prymgauss import (BadPrimeError, FIELD_PRIMES, Poly, format_rational, parse_rational,
+                       reduce_mod_p)
+from prymgauss.exact import clear_denominators
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(rationals, max_size=21).map(Poly)
@@ -137,6 +140,15 @@ def test_evaluation_is_ring_morphism(p, x):
     assert (p + q)(x) == p(x) + q(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=8))
+def test_clear_denominators(row):
+    ints, den = clear_denominators(row)
+    assert [Fraction(n, den) for n in ints] == row
+    # a common factor of den and every integer would leave a smaller clearing
+    assert den > 0 and math.gcd(den, *ints) == 1
+
+
 # -- prime field --------------------------------------------------------
 
 def test_prime_list_shape():
@@ -150,29 +162,32 @@ def test_prime_list_entries_are_prime():
     assert all(sympy.isprime(p) for p in FIELD_PRIMES)
 
 
+def reduce(x, p):
+    """The residue of one rational, through the matrix reduction."""
+    return int(reduce_mod_p([[x]], p)[0, 0])
+
+
 @settings(max_examples=80, deadline=None)
 @given(rationals, rationals)
 def test_reduction_commutes_with_ring_ops(a, b):
-    field = PrimeField(FIELD_PRIMES[0])
-    p = field.p
-    assert field.reduce(a * b) == field.reduce(a) * field.reduce(b) % p
-    assert field.reduce(a + b) == (field.reduce(a) + field.reduce(b)) % p
+    p = FIELD_PRIMES[0]
+    assert reduce(a * b, p) == reduce(a, p) * reduce(b, p) % p
+    assert reduce(a + b, p) == (reduce(a, p) + reduce(b, p)) % p
 
 
 def test_reduce_bad_prime():
     p = FIELD_PRIMES[3]
-    field = PrimeField(p)
     with pytest.raises(BadPrimeError):
-        field.reduce(Fraction(1, p))
+        reduce(Fraction(1, p), p)
 
 
 def test_field_inverse():
-    field = PrimeField(FIELD_PRIMES[1])
-    assert field.reduce(Fraction(1, 123456)) * 123456 % field.p == 1
+    p = FIELD_PRIMES[1]
+    assert reduce(Fraction(1, 123456), p) * 123456 % p == 1
     with pytest.raises(BadPrimeError):
-        field.reduce(Fraction(1, field.p))
+        reduce(Fraction(1, p), p)
 
 
 def test_small_modulus_rejected():
     with pytest.raises(ValueError):
-        PrimeField(97)
+        reduce_mod_p([[Fraction(1)]], 97)

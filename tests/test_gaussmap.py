@@ -134,9 +134,21 @@ def test_tau_infinity_frozen_oracle_values(sym_curve, gen_curve):
 
 
 def test_tau_infinity_is_uchart_degree_one_coefficient(gen_curve):
-    g1 = [gen_curve.uchart(i, 1).coefficient(1) for i in range(1, 5)]
-    g2 = [gen_curve.uchart(i, 2).coefficient(1) for i in range(1, 5)]
-    assert tau_infinity(gen_curve, 1, 3) == g1[2] * g2[0] - g1[0] * g2[2]
+    # uchart_i(u) = MM(u) (delta_i - c_i u) / (1 - a_i u), MM(u) = prod_r (1 - a_r u),
+    # built here from the parameters; its degree-1 coefficient is the slope at u = 0
+    def slope(i, eps):
+        delta, c = gen_curve.coeff_pair(i, eps)
+        others = Poly.from_roots([1 / a for r, a in enumerate(gen_curve.params(eps), 1) if r != i])
+        factor = Fraction(1)
+        for r, a in enumerate(gen_curve.params(eps), 1):
+            if r != i:
+                factor *= -a
+        return (others.scale(factor) * Poly((delta, -c))).coefficient(1)
+    g1 = [slope(i, 1) for i in range(1, 5)]
+    g2 = [slope(i, 2) for i in range(1, 5)]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert tau_infinity(gen_curve, i, j) == g1[j - 1] * g2[i - 1] - g1[i - 1] * g2[j - 1]
 
 
 def test_live_symbolic_oracle_on_seeded_curve():
@@ -166,6 +178,11 @@ def test_live_symbolic_oracle_on_seeded_curve():
         return sum(sp.Rational(co.numerator, co.denominator) * t ** d
                    for d, co in enumerate(poly.coeffs))
 
+    # P_{g+1}: slopes at u = 0 of the far chart u^(g-1) alpha(1/u)
+    u = sp.symbols("u")
+    slope = {key: sp.diff(sp.cancel(u ** (g - 1) * poly.subs(t, 1 / u)), u).subs(u, 0)
+             for key, poly in alpha.items()}
+
     for (i, j) in ((1, 2), (2, 5), (3, 4)):
         for h in (1, 2):
             sym = sp.expand(alpha[(i, h)] * sp.diff(alpha[(j, h)], t)
@@ -178,6 +195,9 @@ def test_live_symbolic_oracle_on_seeded_curve():
                        - sp.diff(alpha[(i, 1)], t).subs(t, p1) * sp.diff(alpha[(j, 2)], t).subs(t, p2))
             mine = tau_interior(c, i, j, hnode)
             assert sp.Rational(mine.numerator, mine.denominator) == sp.nsimplify(sym_tau)
+        sym_tau = slope[(j, 1)] * slope[(i, 2)] - slope[(i, 1)] * slope[(j, 2)]
+        mine = tau_infinity(c, i, j)
+        assert sp.Rational(mine.numerator, mine.denominator) == sym_tau
 
 
 # -- modular image -------------------------------------------------------

@@ -96,7 +96,7 @@ def test_reference_determinants_nonzero_sweep():
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (17, 3), (18, Fraction(-5, 7))])
 def test_scaled_matrix_diagnostic(g, a):
-    assert check_scaled_matrix(g, a) is True
+    assert check_scaled_matrix(build_induction_submatrix(g, a)) is True
 
 
 def test_scaling_test_detects_mismatch():
@@ -110,7 +110,7 @@ def test_scaling_test_detects_mismatch():
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (19, 3), (20, Fraction(-5, 7))])
 def test_tau_closed_form_matches(g, a):
-    assert check_tau_closed_form(g, a)
+    assert check_tau_closed_form(build_induction_submatrix(g, a), tau_closed_form(g, a))
 
 
 def test_tau_closed_form_value_even():
@@ -197,8 +197,8 @@ def test_verify_det5_builds_no_polynomial(monkeypatch):
 def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
     calls = []
 
-    def inconclusive(genus, a, submatrix=None):
-        calls.append((genus, a))
+    def inconclusive(submatrix):
+        calls.append((submatrix.genus, submatrix.a))
         return None
     monkeypatch.setattr(induction_module, "check_scaled_matrix", inconclusive)
     report = verify_det5(14, 2)
@@ -210,9 +210,9 @@ def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
 
 def test_check_tau_closed_form_reads_the_given_block():
     sub = build_induction_submatrix(14, 2)
-    assert check_tau_closed_form(14, 2, submatrix=sub)
+    assert check_tau_closed_form(sub, tau_closed_form(14, 2))
     entries = [list(row) for row in sub.entries]
     entries[4][4] += 1
     tampered = InductionSubmatrix(sub.genus, sub.a, sub.parity, sub.node_index,
                                   sub.columns, tuple(tuple(row) for row in entries))
-    assert not check_tau_closed_form(14, 2, submatrix=tampered)
+    assert not check_tau_closed_form(tampered, tau_closed_form(14, 2))
