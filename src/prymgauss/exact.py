@@ -27,7 +27,7 @@ import numpy as np
 RationalLike = Union[Fraction, int, str]
 
 # Accepted rational literals: "p", "p/q", optional leading sign.  No floats.
-_RATIONAL_RE = re.compile(r"^[+\-−]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+\-−]?\d+(/\d+)?$", re.ASCII)
 
 
 def parse_rational(value: RationalLike) -> Fraction:

@@ -10,12 +10,15 @@ Two routes:
   because every prime lies in (2^30, 2^31), factor * entry products stay
   below 2^62 and cannot overflow the signed 64-bit accumulator.
 
-* `rank_exact` — fraction-free (Bareiss) elimination over the integers after
-  clearing row denominators, with the pivot chosen of minimal bit length to
-  limit coefficient growth.  Intermediate divisions are exact by the Bareiss
-  identity; the result is the true rational rank.  `det_exact` runs the
-  same elimination for the determinant of a small square matrix (the
-  induction's 5x5 blocks).
+* `rank_exact` — fraction-free (Bareiss) elimination over the integers.
+  Rows are cleared of denominators, then each column is divided by the gcd
+  of its entries; both are nonzero diagonal scalings, so the rank is
+  unchanged, and the primitive columns keep the minors Bareiss forms small.
+  The pivot is chosen of minimal bit length to limit coefficient growth.
+  Intermediate divisions are exact by the Bareiss identity; the result is
+  the true rational rank, with no modular arithmetic.  `det_exact` runs the
+  same elimination, on row-cleared input only, for the determinant of a
+  small square matrix (the induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries a few primes and falls
 back to the exact path only when no modular run reaches the maximum;
@@ -85,7 +88,9 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
 
 def rank_exact(matrix) -> int:
     """True rank over the rationals via fraction-free elimination."""
-    return _bareiss([clear_denominators(row)[0] for row in _entry_rows(matrix)])[0]
+    rows = [clear_denominators(row)[0] for row in _entry_rows(matrix)]
+    gcds = [math.gcd(*col) or 1 for col in zip(*rows, strict=True)]
+    return _bareiss([[x // d for x, d in zip(row, gcds)] for row in rows])[0]
 
 
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -135,19 +140,17 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
             sign = -sign
-        pivot_row = work[rank]
-        pv = pivot_row[c]
+        pivot_tail = work[rank][c:]
+        pv = pivot_tail[0]
         for r in range(rank + 1, nrows):
             row = work[r]
             f = row[c]
             if f:
-                for cc in range(c, ncols):
-                    row[cc] = (row[cc] * pv - f * pivot_row[cc]) // prev
+                row[c:] = [(x * pv - f * y) // prev for x, y in zip(row[c:], pivot_tail)]
             else:
                 # Bareiss scaling applies to the whole submatrix, zero
                 # leading entry or not; division stays exact.
-                for cc in range(c, ncols):
-                    row[cc] = row[cc] * pv // prev
+                row[c:] = [x * pv // prev for x in row[c:]]
         prev = pv
         rank += 1
         if rank == nrows:

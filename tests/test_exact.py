@@ -36,6 +36,14 @@ def test_parse_rational_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+def test_parse_rational_rejects_non_ascii_digits():
+    # Arabic-Indic and fullwidth digits are Unicode decimals, which int()
+    # would accept; the literal grammar is ASCII digits only.
+    for bad in ("\u0661/\u0662", "\uff15"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+
+
 def test_format_rational_roundtrip():
     for x in (Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(22, 7)):
         assert parse_rational(format_rational(x)) == x

@@ -29,6 +29,8 @@ json_values = st.recursive(
                  st.none(), st.fractions()))
 @example("1/0")
 @example("−3/4")
+@example("\u0661/\u0662")    # Arabic-Indic digits: must raise, not read as 1/2
+@example("\uff15")            # fullwidth 5
 def test_parse_rational_round_trips_or_raises_value_error(value):
     try:
         x = parse_rational(value)

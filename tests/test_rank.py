@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
-                       assemble_mod_p, build_curve, certify, rank_exact, rank_mod_p,
-                       reduce_mod_p, seeded_params)
+                       assemble_mod_p, build_curve, certify, matrix_checksum, rank_exact,
+                       rank_mod_p, reduce_mod_p, seeded_params)
 from prymgauss import rank as rank_module
+from prymgauss.exact import clear_denominators
 from prymgauss.rank import det_exact
 
 P = FIELD_PRIMES[0]
@@ -236,6 +237,65 @@ def test_det_exact_matches_sympy(rows):
 def test_det_exact_rejects_non_square_rows():
     with pytest.raises(ValueError, match="non-square"):
         det_exact(frac_rows([[1, 2], [3, 4], [5, 6]]))
+
+
+# -- rank_exact: primitive columns, then Bareiss ----------------------
+
+def sympy_rank(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows]).rank()
+
+
+@st.composite
+def column_scaled_matrices(draw):
+    """Rational matrices of up to 6x8 whose columns are multiplied by integers
+    of up to 200 bits, with zero columns, zero rows and proportional rows."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    scales = draw(st.lists(st.integers(-2**200, 2**200), min_size=ncols, max_size=ncols))
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        scales[j] = 0                                   # a zero column
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        c = draw(st.just(Fraction(0)) | entry)          # zero row, or proportional
+        rows[i] = [c * x for x in rows[j]]
+    return [[x * k for x, k in zip(row, scales)] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_scaled_matrices())
+def test_rank_exact_matches_sympy_on_column_scaled_matrices(rows):
+    assert rank_exact(rows) == sympy_rank(rows)
+
+
+@pytest.mark.parametrize("genus", [7, 8, 9])
+def test_rank_exact_on_proportional_parameter_rows(genus):
+    # a1 = 2 * a2 with a seeded rational a2: rank 4g - 14, not maximal
+    a2 = seeded_params(genus, 0)[1]
+    m = assemble_matrix(build_curve(genus, [2 * x for x in a2], a2))
+    unscaled = rank_module._bareiss([clear_denominators(row)[0] for row in m.entries])[0]
+    assert rank_exact(m) == unscaled == 4 * genus - 14
+
+
+def test_rank_exact_reads_no_residue(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("modular arithmetic on the exact path")
+    monkeypatch.setattr(rank_module, "reduce_mod_p", refuse)
+    monkeypatch.setattr(rank_module, "_echelon_rank", refuse)
+    m = assemble_matrix(build_curve(6, *seeded_params(6, 2)))
+    assert rank_exact(m) == 10
+    assert certify(m, policy="exact").rank == 10
+
+
+def test_rank_exact_leaves_its_input_unchanged():
+    m = assemble_matrix(build_curve(7, *seeded_params(7, 4)))
+    checksum = matrix_checksum(m)
+    rows = [list(row) for row in m.entries]
+    assert rank_exact(m) == rank_exact(rows) == 15
+    assert matrix_checksum(m) == checksum
+    assert rows == [list(row) for row in m.entries]
 
 
 # -- modular-first certification of curves -----------------------------
