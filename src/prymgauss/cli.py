@@ -16,6 +16,7 @@ Exit codes: 0 = success / claims hold, 1 = a mathematical claim failed,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -193,12 +194,14 @@ def cmd_matrix_export(args):
     matrix = assemble_matrix(curve)
     if args.format == "json":
         data = matrix_to_json(matrix).encode("utf-8")
+        sha256 = hashlib.sha256(data).hexdigest()   # matrix_checksum, without re-serializing
     else:
         data = matrix_to_bytes(matrix)
+        sha256 = matrix_checksum(matrix)
     with open(args.out, "wb") as fh:
         fh.write(data)
     fields.update(out=args.out, format=args.format, rows=matrix.rows, cols=matrix.cols,
-                  sha256=matrix_checksum(matrix))
+                  sha256=sha256)
     return fields, [f"wrote {matrix.rows}x{matrix.cols} matrix to {args.out} "
                     f"({args.format}, sha256 {fields['sha256'][:16]}...)"], True
 

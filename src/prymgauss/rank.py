@@ -14,11 +14,18 @@ Two routes:
   Rows are cleared of denominators, then each column is divided by the gcd
   of its entries; both are nonzero diagonal scalings, so the rank is
   unchanged, and the primitive columns keep the minors Bareiss forms small.
-  The pivot is chosen of minimal bit length to limit coefficient growth.
-  Intermediate divisions are exact by the Bareiss identity; the result is
-  the true rational rank, with no modular arithmetic.  `det_exact` runs the
-  same elimination, on row-cleared input only, for the determinant of a
-  small square matrix (the induction's 5x5 blocks).
+  The columns are then sorted by the bit length of their largest entry
+  (a column permutation, which leaves the rank unchanged too), so the
+  elimination pivots on the small columns first.  The elimination is
+  left-looking: a column is brought up to date only when it is reached,
+  by replaying the earlier steps, and it stops at full row rank, so a
+  column after the last pivot (at g <= 11, mostly the large torsion
+  columns) is never updated.  The pivot is chosen of minimal bit length to
+  limit coefficient growth.  Intermediate divisions are exact by the
+  Bareiss identity; the result is the true rational rank, with no modular
+  arithmetic.  `det_exact` runs the same elimination, on row-cleared input
+  in its own column order (the sign depends on it), for the determinant
+  of a small square matrix (the induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries a few primes and falls
 back to the exact path only when no modular run reaches the maximum;
@@ -87,10 +94,20 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
 
 
 def rank_exact(matrix) -> int:
-    """True rank over the rationals via fraction-free elimination."""
+    """True rank over the rationals via fraction-free elimination.
+
+    Each row is cleared of denominators and each column divided by its
+    gcd; the columns are then ordered by the bit length of their largest
+    entry (stable), so that the elimination pivots on small columns first.
+    None of this changes the rank.
+    """
     rows = [clear_denominators(row)[0] for row in _entry_rows(matrix)]
-    gcds = [math.gcd(*col) or 1 for col in zip(*rows, strict=True)]
-    return _bareiss([[x // d for x, d in zip(row, gcds)] for row in rows])[0]
+    cols = []
+    for col in zip(*rows, strict=True):
+        d = math.gcd(*col) or 1
+        cols.append([x // d for x in col])
+    cols.sort(key=lambda col: max(x.bit_length() for x in col))
+    return _bareiss(list(zip(*cols)))[0]
 
 
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -110,26 +127,45 @@ def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * pivot, math.prod(den for _, den in cleared))
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free elimination of integer rows, in place.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Left-looking fraction-free elimination of integer rows.
 
     Returns (rank, last pivot, sign of the row swaps).  At full rank on a
     square matrix, sign * last pivot is its determinant (the Bareiss
     identity); zero rows are dropped first, so a matrix with a zero row
     never reaches full rank.
+
+    Columns are taken left to right.  Each is read in the current row
+    order and brought up to date by replaying the earlier steps; only a
+    column that yields a pivot is kept, and no column after the last pivot
+    is read.  The arithmetic, the pivot rule (minimal bit length, first row
+    on ties) and the row swaps are those of the right-looking elimination,
+    so the result is the same.  The input rows are not modified.
     """
     work = [row for row in rows if any(row)]
     if not work:
         return 0, 1, 1
     nrows, ncols = len(work), len(work[0])
-    rank = 0
-    prev = 1
+    # step s: its pivot and its pivot column below row s, as chosen
+    steps: list[tuple[int, list[int]]] = []
     sign = 1
     for c in range(ncols):
+        col = [row[c] for row in work]
+        prev = 1
+        for s, (pv, below) in enumerate(steps):
+            a = col[s]
+            if a:
+                col[s + 1:] = [(x * pv - f * a) // prev for x, f in zip(col[s + 1:], below)]
+            else:
+                # Bareiss scaling applies to the whole submatrix, zero
+                # pivot-row entry or not; division stays exact.
+                col[s + 1:] = [x * pv // prev for x in col[s + 1:]]
+            prev = pv
+        rank = len(steps)
         pivot = None
         best = None
         for r in range(rank, nrows):
-            v = work[r][c]
+            v = col[r]
             if v:
                 bits = v.bit_length()
                 if best is None or bits < best:
@@ -139,23 +175,15 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
             continue
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
+            col[rank], col[pivot] = col[pivot], col[rank]
+            for s, (_, below) in enumerate(steps):
+                i, j = rank - s - 1, pivot - s - 1
+                below[i], below[j] = below[j], below[i]
             sign = -sign
-        pivot_tail = work[rank][c:]
-        pv = pivot_tail[0]
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            f = row[c]
-            if f:
-                row[c:] = [(x * pv - f * y) // prev for x, y in zip(row[c:], pivot_tail)]
-            else:
-                # Bareiss scaling applies to the whole submatrix, zero
-                # leading entry or not; division stays exact.
-                row[c:] = [x * pv // prev for x in row[c:]]
-        prev = pv
-        rank += 1
-        if rank == nrows:
+        steps.append((col[rank], col[rank + 1:]))
+        if rank + 1 == nrows:
             break
-    return rank, prev, sign
+    return len(steps), steps[-1][0], sign
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,24 @@ def test_matrix_export_roundtrip(capsys, tmp_path):
     assert (m_json.rows, m_json.cols) == (6, 20)
 
 
+def test_matrix_export_json_hashes_the_file_it_writes(capsys, monkeypatch, tmp_path):
+    from prymgauss import cli, gaussmap
+    to_json = gaussmap.matrix_to_json
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return to_json(matrix)
+    monkeypatch.setattr(gaussmap, "matrix_to_json", counted)
+    monkeypatch.setattr(cli, "matrix_to_json", counted)
+    path = tmp_path / "m.json"
+    code, out, _ = run_cli(capsys, "matrix", "export", "--genus", "7", "--seed", "2",
+                           "--out", str(path), "--format", "json", "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(calls) == 1                              # serialized once
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "prymgauss.cli", "rank", "--genus", "4",

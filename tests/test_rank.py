@@ -13,6 +13,7 @@ from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix
                        rank_mod_p, reduce_mod_p, seeded_params)
 from prymgauss import rank as rank_module
 from prymgauss.exact import clear_denominators
+from prymgauss.induction import family_curve
 from prymgauss.rank import det_exact
 
 P = FIELD_PRIMES[0]
@@ -265,18 +266,38 @@ def column_scaled_matrices(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(column_scaled_matrices())
-def test_rank_exact_matches_sympy_on_column_scaled_matrices(rows):
-    assert rank_exact(rows) == sympy_rank(rows)
+@given(st.data())
+def test_rank_exact_matches_sympy_on_column_scaled_matrices(data):
+    # also under a column permutation, which rank_exact's column order must absorb
+    rows = data.draw(column_scaled_matrices())
+    order = data.draw(st.permutations(range(len(rows[0]))))
+    permuted = [[row[j] for j in order] for row in rows]
+    assert rank_exact(permuted) == rank_exact(rows) == sympy_rank(rows)
 
 
-@pytest.mark.parametrize("genus", [7, 8, 9])
+@pytest.mark.parametrize("genus", [7, 8, 9, 10])
 def test_rank_exact_on_proportional_parameter_rows(genus):
     # a1 = 2 * a2 with a seeded rational a2: rank 4g - 14, not maximal
     a2 = seeded_params(genus, 0)[1]
     m = assemble_matrix(build_curve(genus, [2 * x for x in a2], a2))
     unscaled = rank_module._bareiss([clear_denominators(row)[0] for row in m.entries])[0]
     assert rank_exact(m) == unscaled == 4 * genus - 14
+
+
+@pytest.mark.parametrize("genus,rank", [(9, 27), (10, 33)])
+def test_rank_exact_on_squared_parameter_rows(genus, rank):
+    # a1 = a2 * a2 entrywise, with a seeded rational a2: not maximal either
+    a2 = seeded_params(genus, 0)[1]
+    m = assemble_matrix(build_curve(genus, [x * x for x in a2], a2))
+    assert rank_exact(m) == rank < min(m.rows, m.cols)
+
+
+def test_rank_exact_on_the_induction_family_curve():
+    # det5 != 0 on this curve is a claim about one 5x5 block; the full
+    # Gaussian map of the curve is far from its maximum of 60
+    m = assemble_matrix(family_curve(13, 2))
+    assert (m.rows, m.cols) == (66, 60)
+    assert rank_exact(m) == 38 == 4 * 13 - 14
 
 
 def test_rank_exact_reads_no_residue(monkeypatch):
@@ -296,6 +317,100 @@ def test_rank_exact_leaves_its_input_unchanged():
     assert rank_exact(m) == rank_exact(rows) == 15
     assert matrix_checksum(m) == checksum
     assert rows == [list(row) for row in m.entries]
+
+
+# -- _bareiss: left-looking, against the right-looking reference -------
+
+def right_looking_bareiss(rows):
+    """Reference: the right-looking elimination `_bareiss` replaced.  Each
+    step updates every column to the right of the pivot, in every row
+    below it; the result is (rank, last pivot, sign of the row swaps)."""
+    work = [list(row) for row in rows if any(row)]
+    if not work:
+        return 0, 1, 1
+    nrows, ncols = len(work), len(work[0])
+    rank = 0
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        pivot = None
+        best = None
+        for r in range(rank, nrows):
+            v = work[r][c]
+            if v:
+                bits = v.bit_length()
+                if best is None or bits < best:
+                    best = bits
+                    pivot = r
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        pivot_tail = work[rank][c:]
+        pv = pivot_tail[0]
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            f = row[c]
+            if f:
+                row[c:] = [(x * pv - f * y) // prev for x, y in zip(row[c:], pivot_tail)]
+            else:
+                row[c:] = [x * pv // prev for x in row[c:]]
+        prev = pv
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, prev, sign
+
+
+@st.composite
+def integer_matrices(draw):
+    """1..8 x 1..10 integer matrices with entries of up to 200 bits, and zero,
+    duplicate and proportional rows and columns."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    bits = draw(st.sampled_from([2, 8, 64, 200]))
+    entry = st.integers(-2**bits, 2**bits) | st.just(0)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    factor = st.integers(-2**bits, 2**bits)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        k = draw(st.sampled_from([0, 1]) | factor)      # zero, duplicate, proportional
+        rows[i] = [k * x for x in rows[j]]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        k = draw(st.sampled_from([0, 1]) | factor)
+        for row in rows:
+            row[i] = k * row[j]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_bareiss_matches_the_right_looking_reference(rows):
+    before = [list(row) for row in rows]
+    assert rank_module._bareiss(rows) == right_looking_bareiss(rows)
+    assert rows == before
+
+
+class Untouchable(int):
+    """An int that raises on arithmetic: marks entries that must not be used."""
+
+    def _refuse(self, *args):
+        raise AssertionError(f"arithmetic on an entry after the last pivot ({int(self)})")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __floordiv__ = __rfloordiv__ = __neg__ = __abs__ = __pow__ = __mod__ = _refuse
+
+
+def test_bareiss_stops_at_the_last_pivot():
+    head = [[2, 1, 3], [1, 5, 7], [4, 1, 1]]
+    rows = [row + [Untouchable(9), Untouchable(-4)] for row in head]
+    with pytest.raises(AssertionError, match="after the last pivot"):
+        rows[0][3] * 2
+    rank, pivot, sign = rank_module._bareiss(rows)
+    assert (rank, sign * pivot) == (3, -34)             # full row rank; det of the head
+    assert (rank, pivot, sign) == right_looking_bareiss([row + [9, -4] for row in head])
 
 
 # -- modular-first certification of curves -----------------------------
