@@ -27,7 +27,7 @@ and target bundles have rank 55, so its class is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exact import RationalLike, format_rational, parse_rational
@@ -40,34 +40,41 @@ BASIS = ("lambda", "delta0_prime", "delta0_doubleprime", "delta0_ram")
 
 
 @dataclass(frozen=True)
-class DivisorClass:
+class _Combination:
+    """Exact coefficients over a fixed basis, the fields of a subclass,
+    with the vector-space operations written once."""
+
+    @classmethod
+    def of(cls, *values: RationalLike, **named: RationalLike):
+        """Parse each coefficient; omitted ones are zero."""
+        return cls(*map(parse_rational, values),
+                   **{name: parse_rational(v) for name, v in named.items()})
+
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*(x + y for x, y in zip(self.coefficients(), other.coefficients())))
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        s = parse_rational(scalar)
+        return type(self)(*(s * c for c in self.coefficients()))
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class DivisorClass(_Combination):
     """Exact coefficients over (lambda, delta'_0, delta''_0, delta_0^ram)."""
     lam: Fraction = Fraction(0)
     d0p: Fraction = Fraction(0)
     d0pp: Fraction = Fraction(0)
     d0ram: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, lam: RationalLike = 0, d0p: RationalLike = 0,
-           d0pp: RationalLike = 0, d0ram: RationalLike = 0) -> "DivisorClass":
-        return cls(parse_rational(lam), parse_rational(d0p),
-                   parse_rational(d0pp), parse_rational(d0ram))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.lam + other.lam, self.d0p + other.d0p,
-                            self.d0pp + other.d0pp, self.d0ram + other.d0ram)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "DivisorClass":
-        s = parse_rational(scalar)
-        return DivisorClass(s * self.lam, s * self.d0p, s * self.d0pp, s * self.d0ram)
-
-    __rmul__ = __mul__
-
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.lam, self.d0p, self.d0pp, self.d0ram)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients())
@@ -91,32 +98,13 @@ class DivisorClass:
 
 
 @dataclass(frozen=True)
-class SurfaceClassExpr:
+class SurfaceClassExpr(_Combination):
     """Formal degree-2 class upstairs: coefficients of omega^2, omega*P,
     P^2 and the nodal cycle [Z]."""
     omega2: Fraction = Fraction(0)
     omegaP: Fraction = Fraction(0)
     P2: Fraction = Fraction(0)
     Z: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, omega2: RationalLike = 0, omegaP: RationalLike = 0,
-           P2: RationalLike = 0, Z: RationalLike = 0) -> "SurfaceClassExpr":
-        return cls(parse_rational(omega2), parse_rational(omegaP),
-                   parse_rational(P2), parse_rational(Z))
-
-    def __add__(self, other: "SurfaceClassExpr") -> "SurfaceClassExpr":
-        return SurfaceClassExpr(self.omega2 + other.omega2, self.omegaP + other.omegaP,
-                                self.P2 + other.P2, self.Z + other.Z)
-
-    def __sub__(self, other: "SurfaceClassExpr") -> "SurfaceClassExpr":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "SurfaceClassExpr":
-        s = parse_rational(scalar)
-        return SurfaceClassExpr(s * self.omega2, s * self.omegaP, s * self.P2, s * self.Z)
-
-    __rmul__ = __mul__
 
 
 def square_of_line_bundle(a_omega: RationalLike, b_P: RationalLike) -> SurfaceClassExpr:

@@ -37,6 +37,7 @@ shared across threads.  All functions here are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -67,7 +68,7 @@ class PrymBinaryCurve:
         self.a1 = tuple(a1)
         self.a2 = tuple(a2)
         self.k = genus // 2
-        self.A2 = _product(self.a2)
+        self.A2 = math.prod(self.a2, start=Fraction(1))
         self._m: dict[int, Poly] = {}
         self._alpha: dict[tuple[int, int], Poly] = {}
         self._dalpha: dict[tuple[int, int], Poly] = {}
@@ -154,13 +155,6 @@ class PrymBinaryCurve:
         return (f"PrymBinaryCurve(genus={self.genus}, convention={self.convention!r}, "
                 f"a1=({', '.join(format_rational(x) for x in self.a1)}), "
                 f"a2=({', '.join(format_rational(x) for x in self.a2)}))")
-
-
-def _product(values: Sequence[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
 
 
 def build_curve(genus: int, a1: Sequence[RationalLike], a2: Sequence[RationalLike],

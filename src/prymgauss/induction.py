@@ -49,6 +49,7 @@ Diagnostic failures are reported loudly but never override det5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -88,8 +89,7 @@ class InductionSubmatrix:
     entries: tuple[tuple[Fraction, ...], ...]   # 5 rows x 5 columns
 
 
-def build_induction_submatrix(genus: int, a: RationalLike,
-                              curve: PrymBinaryCurve | None = None) -> InductionSubmatrix:
+def build_induction_submatrix(genus: int, a: RationalLike) -> InductionSubmatrix:
     """Assemble the 5x5 block from alpha jets at the projection node.
 
     One jet (alpha, alpha', alpha'') per distinct (index, component) gives
@@ -97,8 +97,7 @@ def build_induction_submatrix(genus: int, a: RationalLike,
     tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2}; no polynomial is built.
     """
     a = parse_rational(a)
-    if curve is None:
-        curve = family_curve(genus, a)
+    curve = family_curve(genus, a)
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
     points = {eps: curve.node_parameter(eps, r) for eps in (1, 2)}
@@ -186,9 +185,6 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
     in the torsion order used by this package."""
     a = parse_rational(a)
     k = genus // 2
-    a2_product = Fraction(1)
-    for i in range(1, genus):
-        a2_product *= i
     if genus % 2 == 0:
         excluded = (k - 1, k, k + 1)
         center = k
@@ -201,7 +197,7 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
     for l in range(1, genus):
         if l not in excluded:
             prod *= (center - l) ** 2
-    return lead * a ** (genus - 2) / a2_product * prod
+    return lead * a ** (genus - 2) / math.factorial(genus - 1) * prod
 
 
 def check_tau_closed_form(submatrix: InductionSubmatrix, closed: Fraction) -> bool:

@@ -27,18 +27,20 @@ Two routes:
   in its own column order (the sign depends on it), for the determinant
   of a small square matrix (the induction's 5x5 blocks).
 
-`certify` combines them under a policy: "fast" tries a few primes and falls
-back to the exact path only when no modular run reaches the maximum;
-"exact" goes straight to Bareiss.  Runs are sequential, so certificates are
-identical no matter how callers schedule them; the seed fixes the prime
-sequence (offset into the fixed prime list).
+`certify` combines them under a policy: "fast" tries up to
+`MODULAR_ATTEMPTS` good primes and falls back to the exact path only when no
+modular run reaches the maximum; "exact" is the same loop with no modular
+attempt, so it goes straight to Bareiss.  Runs are sequential, so
+certificates are identical no matter how callers schedule them; the seed
+fixes the prime sequence (offset into the fixed prime list).
 
 Given a curve rather than a matrix, `certify` is modular-first: at each
 prime it takes the image `gaussmap.assemble_mod_p`, which has the rank of
 the reduced rational matrix, and builds the rational matrix only when it is
-needed: for the exact policy, for the Bareiss fallback, or at a prime where
-the curve's data does not reduce.  Primes used, skipped primes, ranks and
-methods are the same as for `certify(assemble_matrix(curve))`.
+needed: for Bareiss (the exact policy or the fast policy's fallback), or
+at a prime where the curve's data does not reduce.  Primes used, skipped
+primes, ranks and methods are the same as for
+`certify(assemble_matrix(curve))`.
 """
 
 from __future__ import annotations
@@ -219,14 +221,17 @@ def good_primes(seed: int = 0) -> Iterable[int]:
         yield FIELD_PRIMES[(start + idx) % n]
 
 
-def certify(source, policy: str = "fast", seed: int = 0,
-            modular_attempts: int = 3) -> RankCertificate:
+# Good primes the fast policy tries before it falls back to Bareiss.
+MODULAR_ATTEMPTS = 3
+
+
+def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     """Certify the rank with the strongest sound claim.
 
     `source` is a curve (modular-first, see the module docstring), a
     GaussMatrix, or a sequence of rational rows.
 
-    fast:  run modular ranks at up to `modular_attempts` good primes; the
+    fast:  run modular ranks at up to MODULAR_ATTEMPTS good primes; the
            first one equal to min(rows, cols) certifies maximality.  If none
            reaches it, fall back to the exact path (method "both").
     exact: fraction-free elimination only (method "bareiss").
@@ -263,15 +268,11 @@ def certify(source, policy: str = "fast", seed: int = 0,
                 return _echelon_rank(image, p)
         return rank_mod_p(rational(), p)
 
-    if policy == "exact":
-        rank = rank_exact(rational())
-        return RankCertificate(genus, rank, maxp, rank == maxp, "bareiss", (),
-                               time.perf_counter() - start)
-
+    attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
     primes_used: list[int] = []
     best_modular = 0
     for p in good_primes(seed):
-        if len(primes_used) >= modular_attempts:
+        if len(primes_used) >= attempts:
             break
         try:
             r = modular_rank(p)
@@ -286,5 +287,6 @@ def certify(source, policy: str = "fast", seed: int = 0,
     if rank < best_modular:
         raise AssertionError(
             f"exact rank {rank} below a modular lower bound {best_modular}: arithmetic bug")
-    return RankCertificate(genus, rank, maxp, rank == maxp, "both", tuple(primes_used),
+    return RankCertificate(genus, rank, maxp, rank == maxp,
+                           "both" if policy == "fast" else "bareiss", tuple(primes_used),
                            time.perf_counter() - start)

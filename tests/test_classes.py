@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,13 @@ def test_pushforward_linearity(a, b, w1, p1, q1, z1, w2, p2, q2, z2):
     e1 = SurfaceClassExpr.of(w1, p1, q1, z1)
     e2 = SurfaceClassExpr.of(w2, p2, q2, z2)
     assert pushforward(a * e1 + b * e2) == a * pushforward(e1) + b * pushforward(e2)
+
+
+def test_classes_of_different_bases_do_not_add():
+    with pytest.raises(TypeError):
+        DivisorClass.of(1) + SurfaceClassExpr.of(1)
+    with pytest.raises(TypeError):
+        SurfaceClassExpr.of(1) - DivisorClass.of(1)
 
 
 def test_line_bundle_square():

@@ -4,10 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from prymgauss import matrix_from_bytes, matrix_from_json
+from prymgauss import matrix_from_bytes, matrix_from_json, parse_rational, verify_det5
 from prymgauss.cli import main
 from prymgauss.params import params_to_file, seeded_params
 
@@ -127,6 +128,34 @@ def test_induction_cli(capsys):
     assert data["ok"] is True
     assert [r["genus"] for r in data["reports"]] == [13, 14]
     assert all(r["det5_nonzero"] for r in data["reports"])
+
+
+def test_induction_reports_a_repeated_value_once(capsys):
+    code, out, _ = run_cli(capsys, "induction", "--g-min", "13", "--g-max", "13",
+                           "--a", "2", "--a", "4/2", "--json", "--no-timing")
+    assert code == 0
+    data = json.loads(out)
+    assert data["a_values"] == ["2"]
+    assert [r["a"] for r in data["reports"]] == ["2"]
+
+
+def test_induction_prints_a_det5_longer_than_the_int_string_limit(capsys):
+    code, out, _ = run_cli(capsys, "induction", "--g-min", "300", "--g-max", "300",
+                           "--a=-5/7", "--json", "--no-timing")
+    assert code == 0
+    det5 = parse_rational(json.loads(out)["reports"][0]["det5"])
+    assert len(str(det5.numerator)) > 4300
+    assert det5 == verify_det5(300, Fraction(-5, 7)).det5
+
+
+def test_matrix_export_prints_entries_longer_than_the_int_string_limit(capsys, tmp_path):
+    params = tmp_path / "p.json"
+    params_to_file(params, 5, "paper", [1, 10 ** 1499 + 7, 3, 4], [5, -7, Fraction(1, 2), 9])
+    out = tmp_path / "m.json"
+    code, _, err = run_cli(capsys, "matrix", "export", "--genus", "5", "--params",
+                           str(params), "--out", str(out), "--no-timing")
+    assert code == 0, err
+    assert matrix_from_json(out.read_text()).genus == 5
 
 
 def test_induction_rejects_bad_a(capsys):

@@ -54,7 +54,7 @@ def test_submatrix_rows_match_assembled_matrix():
     # assembled matrix blocks on the same curve
     g = 13
     curve = family_curve(g, 2)
-    sub = build_induction_submatrix(g, 2, curve=curve)
+    sub = build_induction_submatrix(g, 2)
     m = assemble_matrix(curve)
     r = projection_node_index(g)
     pt1 = curve.node_parameter(1, r)
@@ -173,7 +173,7 @@ def test_jet_block_equals_wronskian_oracle(a):
     # tau_interior on the same curve must give the same entries exactly
     for g in range(13, 41):
         curve = family_curve(g, a)
-        sub = build_induction_submatrix(g, a, curve=curve)
+        sub = build_induction_submatrix(g, a)
         r = projection_node_index(g)
         pt1, pt2 = curve.node_parameter(1, r), curve.node_parameter(2, r)
         for q, (i, j) in enumerate(sub.columns):

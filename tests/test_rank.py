@@ -439,10 +439,12 @@ def test_certify_curve_falls_back_to_rational_reduction_at_a_bad_prime():
 
 
 def test_certify_curve_lazy_bareiss_fallback():
-    a1, a2 = seeded_params(6, 5)
-    cert = same_certificate(build_curve(6, a1, a2), modular_attempts=0)
-    assert cert["method"] == "both" and cert["primes_used"] == []
-    assert cert["rank"] == 10 and cert["is_maximal"]
+    # a1 = 2*a2 puts the curve in special position: no modular rank is
+    # maximal, so all three primes are tried before Bareiss runs
+    _, a2 = seeded_params(7, 0)
+    cert = same_certificate(build_curve(7, [2 * x for x in a2], a2))
+    assert cert["method"] == "both" and len(cert["primes_used"]) == 3
+    assert cert["rank"] == 14 and cert["max_possible"] == 15 and not cert["is_maximal"]
 
 
 def test_certify_curve_exact_policy():
