@@ -62,6 +62,8 @@ class _Combination:
         return self + (-1) * other
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, (int, float, Fraction, str)):
+            return NotImplemented
         s = parse_rational(scalar)
         return type(self)(*(s * c for c in self.coefficients()))
 

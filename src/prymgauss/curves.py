@@ -58,7 +58,7 @@ class PrymBinaryCurve:
     alpha_derivative are built per index on first access and cached;
     a cache entry never changes once filled, and two threads that fill the
     same entry store identical values, so sharing a curve across threads is
-    safe.
+    safe.  Only the oracles and `node_check` use them, not the assemblers.
     """
 
     def __init__(self, genus: int, a1: Sequence[Fraction], a2: Sequence[Fraction],
@@ -72,7 +72,6 @@ class PrymBinaryCurve:
         self._m: dict[int, Poly] = {}
         self._alpha: dict[tuple[int, int], Poly] = {}
         self._dalpha: dict[tuple[int, int], Poly] = {}
-        self._node_values: dict[tuple[int, int, int], Fraction] = {}
 
     # -- construction helpers ------------------------------------------
 
@@ -145,11 +144,6 @@ class PrymBinaryCurve:
         if h == self.genus:
             return Fraction(0)
         return self.params(eps)[h - 1]
-
-    def alpha_derivative_at_node(self, i: int, eps: int, h: int) -> Fraction:
-        """alpha'(i,eps) evaluated at node P_h; memoized per entry."""
-        return self._cached(self._node_values, (i, eps, h), lambda i, eps, h:
-                            self.alpha_derivative(i, eps)(self.node_parameter(eps, h)))
 
     def __repr__(self) -> str:
         return (f"PrymBinaryCurve(genus={self.genus}, convention={self.convention!r}, "

@@ -52,7 +52,8 @@ def parse_rational(value: RationalLike) -> Fraction:
                 raise ValueError(f"zero denominator in rational literal: {value!r}")
             return Fraction(int(num), int(den))
         return Fraction(int(num))
-    raise ValueError(f"not a rational value: {value!r} (floats are not accepted)")
+    kind = "floats" if isinstance(value, float) else f"{type(value).__name__} values"
+    raise ValueError(f"not a rational value: {value!r} ({kind} are not accepted)")
 
 
 def format_rational(x: Fraction) -> str:
@@ -203,12 +204,6 @@ class Poly:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
         return Fraction(0)
-
-    def padded(self, length: int) -> tuple[Fraction, ...]:
-        """Coefficients of degrees 0..length-1; degree must be < length."""
-        if len(self.coeffs) > length:
-            raise ValueError(f"degree {self.degree} exceeds padding length {length}")
-        return self.coeffs + (Fraction(0),) * (length - len(self.coeffs))
 
     # -- arithmetic ---------------------------------------------------
 

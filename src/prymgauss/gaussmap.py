@@ -12,14 +12,15 @@ splits into a polynomial part and a torsion part:
 
   and at P_{g+1} the same expression in the u-chart derivatives at u = 0.
   Since uchart_i(u) = u^(g-1) alpha_i(1/u), the u-chart slope at u = 0 is
-  alpha_i's coefficient of degree g-2, read from the cached alpha.
+  alpha_i's coefficient of degree g-2.
 
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
 (ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at P_1..P_g,
-tau at P_{g+1}.  Row assembly only reads the curve (its caches fill with
-values fixed by the parameters), so any evaluation order produces the
-identical matrix.
+tau at P_{g+1}.  `assemble_matrix` builds no polynomial: with alpha_i = P_i/den
+per component (integer P_i), nu_{ij} = (P_i P_j' - P_j P_i')/den^2, alpha_i'
+at a node n/m is P_i' by integer Horner homogenised by m^(g-2), over
+m^(g-2) den, and the slope at P_{g+1} is P_i's coefficient of degree g-2 over den.
 
 For the default normalization ("paper" convention) each nu_{ij,h} also has a
 closed form in three regimes (k = floor(g/2), a = parameter row h, B =
@@ -29,8 +30,8 @@ M/((t-a_i)(t-a_j)), a polynomial):
     k < i < j:       (a_i - a_j) a_i a_j / A2^2 * B^2
     i <= k < j:      (-1)^h a_j / A2 * (t^2 - 2 a_i t + a_i a_j) B^2
 
-The closed form is the independent cross-check of the Wronskian path; the
-assembler always uses the Wronskian (it is convention-independent).
+`nu_wronskian`, `tau_interior` and `tau_infinity`, over the curve's `Poly`
+coordinates, are the assembler's entrywise oracle; the closed forms check nu.
 
 `assemble_mod_p` builds the image of the same map over Z/pZ without any
 rational arithmetic.  It samples each nu_{ij,h} at the 2g-3 points
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,10 +114,10 @@ def tau_interior(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Fraction:
     P_g is the node at t = 0; its evaluation point is the sentinel 0 on both
     components.
     """
-    tja = curve.alpha_derivative_at_node(j, 1, h)
-    tib = curve.alpha_derivative_at_node(i, 2, h)
-    tia = curve.alpha_derivative_at_node(i, 1, h)
-    tjb = curve.alpha_derivative_at_node(j, 2, h)
+    tja = curve.alpha_derivative(j, 1)(curve.node_parameter(1, h))
+    tib = curve.alpha_derivative(i, 2)(curve.node_parameter(2, h))
+    tia = curve.alpha_derivative(i, 1)(curve.node_parameter(1, h))
+    tjb = curve.alpha_derivative(j, 2)(curve.node_parameter(2, h))
     return tja * tib - tia * tjb
 
 
@@ -163,17 +165,73 @@ class GaussMatrix:
         return Poly(self.entries[row][start:start + width])
 
 
+def _cleared_alphas(curve: PrymBinaryCurve, eps: int) -> tuple[list[list[int]], int]:
+    """(P, den), alpha(i, eps) = P[i-1]/den with integer P of length g: for
+    a_r = n_r/d_r, c_i = cn_i/cd_i and L = lcm cd_i, den = L prod d_r and
+    P_i = d_i (L/cd_i) (delta_i cd_i t - cn_i) prod_{r != i} (d_r t - n_r)."""
+    roots = curve.params(eps)
+    pairs = [curve.coeff_pair(i, eps) for i in range(1, curve.genus)]
+    lcm = math.lcm(*(c.denominator for _, c in pairs))
+    numerators = []
+    for i, (delta, c) in enumerate(pairs):
+        scale = roots[i].denominator * (lcm // c.denominator)
+        poly = [-c.numerator * scale, delta * c.denominator * scale]
+        for r, root in enumerate(roots):
+            if r != i:   # poly * (d_r t - n_r)
+                poly = [root.denominator * hi - root.numerator * lo
+                        for hi, lo in zip([0] + poly, poly + [0])]
+        numerators.append(poly)
+    return numerators, lcm * math.prod(root.denominator for root in roots)
+
+
+def _homogeneous_value(coeffs: list[int], n: int, m: int) -> int:
+    """m^e times the value at n/m of the degree-e polynomial `coeffs`."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * power
+        power *= m
+    return acc
+
+
+def _wronskian(p: list[int], dp: list[int], q: list[int], dq: list[int], width: int) -> list[int]:
+    """Coefficients of p q' - q p' in degrees 0..width-1; ValueError if one
+    of higher degree is nonzero (never a silent truncation)."""
+    out = [0] * (len(p) + len(dq) - 1)
+    for a, (pa, qa) in enumerate(zip(p, q)):
+        if pa or qa:
+            for b, (dqb, dpb) in enumerate(zip(dq, dp), start=a):
+                out[b] += pa * dqb - qa * dpb
+    if any(out[width:]):
+        raise ValueError(f"nu has a nonzero coefficient above degree {width - 1}")
+    return out[:width]
+
+
 def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
-    """Fill every row: nu coefficient blocks via the Wronskian, then the
-    torsion values at P_1..P_g and P_{g+1}."""
+    """Fill every row over cleared integers, one Fraction per cell (see the
+    module docstring)."""
     g = curve.genus
     width = 2 * g - 3
+    comps = []
+    for eps in (1, 2):
+        polys, den = _cleared_alphas(curve, eps)
+        derivs = [[d * c for d, c in enumerate(poly)][1:] for poly in polys]
+        nodes = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1)]
+        comps.append((polys, derivs, den,
+                      [[_homogeneous_value(dp, n, m) for n, m in nodes] for dp in derivs],
+                      [den * m ** (g - 2) for _, m in nodes]))
+    (p1, d1, den1, v1, n1), (p2, d2, den2, v2, n2) = comps
+    tau_dens = [x * y for x, y in zip(n1, n2)]
     rows = []
-    for (i, j) in row_pairs(g):
-        nu1 = nu_wronskian(curve, i, j, 1)
-        nu2 = nu_wronskian(curve, i, j, 2)
-        taus = tuple(tau_interior(curve, i, j, h) for h in range(1, g + 1))
-        rows.append(nu1.padded(width) + nu2.padded(width) + taus + (tau_infinity(curve, i, j),))
+    for i, j in row_pairs(g):
+        i, j = i - 1, j - 1
+        row = [Fraction(x, den1 * den1) for x in _wronskian(p1[i], d1[i], p1[j], d1[j], width)]
+        row += [Fraction(x, den2 * den2) for x in _wronskian(p2[i], d2[i], p2[j], d2[j], width)]
+        # tau(i, j) = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2}.
+        row += [Fraction(a * b - c * d, den)
+                for a, b, c, d, den in zip(v1[j], v2[i], v1[i], v2[j], tau_dens)]
+        row.append(Fraction(p1[j][g - 2] * p2[i][g - 2] - p1[i][g - 2] * p2[j][g - 2],
+                            den1 * den2))
+        rows.append(tuple(row))
     return GaussMatrix(genus=g, convention=curve.convention, entries=tuple(rows))
 
 

@@ -49,6 +49,18 @@ def test_classes_of_different_bases_do_not_add():
         SurfaceClassExpr.of(1) - DivisorClass.of(1)
 
 
+def test_classes_multiply_only_by_scalars():
+    assert DivisorClass.of(1, 2) * Fraction(1, 2) == "1/2" * DivisorClass.of(1, 2) \
+        == DivisorClass.of("1/2", 1)
+    for left, right in ((DivisorClass.of(1), DivisorClass.of(2)),
+                        (SurfaceClassExpr.of(1), DivisorClass.of(1)),
+                        (DivisorClass.of(1), None), ([1], DivisorClass.of(1))):
+        with pytest.raises(TypeError):
+            left * right
+    with pytest.raises(ValueError, match="floats are not accepted"):
+        0.5 * DivisorClass.of(1)
+
+
 def test_line_bundle_square():
     assert square_of_line_bundle(3, 2) == SurfaceClassExpr.of(9, 12, 4, 0)
 

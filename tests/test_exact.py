@@ -36,6 +36,19 @@ def test_parse_rational_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (0.5, r"0\.5 \(floats are not accepted\)"),
+    (None, r"None \(NoneType values are not accepted\)"),
+    ([1, 2], r"\[1, 2\] \(list values are not accepted\)"),
+    (int, r"<class 'int'> \(type values are not accepted\)"),
+])
+def test_parse_rational_names_what_it_rejects(bad, message):
+    with pytest.raises(ValueError, match=message) as info:
+        parse_rational(bad)
+    if not isinstance(bad, float):
+        assert "floats" not in str(info.value)
+
+
 def test_parse_rational_rejects_non_ascii_digits():
     # Arabic-Indic and fullwidth digits are Unicode decimals, which int()
     # would accept; the literal grammar is ASCII digits only.
@@ -114,11 +127,6 @@ def test_poly_is_immutable():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (Fraction(0),)
-
-
-def test_padded_rejects_overflow():
-    with pytest.raises(ValueError):
-        Poly([1, 2, 3]).padded(2)
 
 
 # -- polynomial properties ---------------------------------------------

@@ -7,11 +7,14 @@ import pytest
 
 import numpy as np
 
-from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, Poly, assemble_matrix,
-                       assemble_mod_p, build_curve, builtin_params, evaluation_points,
-                       matrix_checksum, matrix_from_bytes, matrix_from_json, matrix_shape,
-                       matrix_to_bytes, matrix_to_json, nu_closed_form, nu_wronskian,
-                       reduce_mod_p, row_pairs, seeded_params, tau_infinity, tau_interior)
+from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, Poly, PrymBinaryCurve,
+                       assemble_matrix, assemble_mod_p, build_curve, builtin_params,
+                       evaluation_points, family_curve, matrix_checksum, matrix_from_bytes,
+                       matrix_from_json, matrix_shape, matrix_to_bytes, matrix_to_json,
+                       nu_closed_form, nu_wronskian, reduce_mod_p, row_pairs, seeded_params,
+                       tau_infinity, tau_interior)
+from prymgauss import gaussmap
+from prymgauss.curves import CONVENTIONS
 
 # Frozen oracle values below were computed with an independent symbolic
 # differentiation of the embedding coordinates (rational functions), then
@@ -282,6 +285,71 @@ def test_assembled_rows_match_block_functions(gen_curve):
         for h in range(1, 6):
             assert row[2 * width + h - 1] == tau_interior(gen_curve, i, j, h)
         assert row[-1] == tau_infinity(gen_curve, i, j)
+
+
+def oracle_entries(curve):
+    """The matrix entry by entry from the Poly-based block functions (a nu of
+    too high a degree makes its row too long to compare equal)."""
+    g = curve.genus
+    width = 2 * g - 3
+
+    def nu(i, j, h):
+        coeffs = nu_wronskian(curve, i, j, h).coeffs
+        return coeffs + (Fraction(0),) * (width - len(coeffs))
+    return tuple(nu(i, j, 1) + nu(i, j, 2)
+                 + tuple(tau_interior(curve, i, j, h) for h in range(1, g + 1))
+                 + (tau_infinity(curve, i, j),)
+                 for i, j in row_pairs(g))
+
+
+def _oracle_curves():
+    for conv in CONVENTIONS:
+        for g in range(3, 21):
+            for seed in (0, 1, 2) if g <= 12 else (0,):
+                yield pytest.param(g, *seeded_params(g, seed), conv, id=f"g{g}-seed{seed}-{conv}")
+        yield pytest.param(12, *builtin_params(12), conv, id=f"integer-g12-{conv}")
+        a2 = seeded_params(10, 0)[1]
+        yield pytest.param(10, [2 * x for x in a2], a2, conv, id=f"twice-g10-{conv}")
+        a2 = seeded_params(9, 0)[1]
+        yield pytest.param(9, [x * x for x in a2], a2, conv, id=f"squared-g9-{conv}")
+        # Denominators sharing the factors 2, 3 and 5 within and across rows.
+        yield pytest.param(8, ["1/6", "5/12", "-7/18", "1/24", "11/30", "-13/36", "5/42"],
+                           ["3/4", "-5/8", "7/10", "-9/14", "11/20", "13/22", "-1/28"], conv,
+                           id=f"shared-denominators-g8-{conv}")
+
+
+@pytest.mark.parametrize("genus,a1,a2,convention", list(_oracle_curves()))
+def test_assembled_matrix_equals_the_entrywise_oracle(genus, a1, a2, convention):
+    curve = build_curve(genus, a1, a2, convention)
+    assert assemble_matrix(curve).entries == oracle_entries(curve)
+
+
+@pytest.mark.parametrize("a", [2, Fraction(-5, 7)])
+def test_assembled_family_curve_equals_the_entrywise_oracle(a):
+    curve = family_curve(13, a)
+    assert assemble_matrix(curve).entries == oracle_entries(curve)
+
+
+def test_assemble_matrix_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial built")
+    monkeypatch.setattr(Poly, "_mul_poly", refuse)
+    monkeypatch.setattr(Poly, "from_roots", refuse)
+    monkeypatch.setattr(PrymBinaryCurve, "alpha", refuse)
+    m = assemble_matrix(build_curve(12, *builtin_params(12), "script"))
+    assert matrix_checksum(m) == \
+        "d2c2ac85e4a60edd317750c5fb51b7cbac13b3d05aa1ef27f7fcc2cde035e5d2"
+
+
+def test_assemble_matrix_rejects_a_nu_above_degree_2g_minus_4(monkeypatch):
+    cleared = gaussmap._cleared_alphas
+
+    def one_degree_too_many(curve, eps):
+        polys, den = cleared(curve, eps)
+        return [poly + [int(i == 0)] for i, poly in enumerate(polys)], den
+    monkeypatch.setattr(gaussmap, "_cleared_alphas", one_degree_too_many)
+    with pytest.raises(ValueError, match="nonzero coefficient above degree 6"):
+        assemble_matrix(build_curve(5, *G5_GENERIC))
 
 
 def test_assembled_nu_block_double_zero():
