@@ -4,15 +4,13 @@ divisor-class calculator."""
 
 __version__ = "1.0.0"
 
-from .exact import (BadPrimeError, FIELD_PRIMES, Poly, format_rational, parse_rational,
-                    reduce_mod_p)
+from .exact import BadPrimeError, FIELD_PRIMES, format_rational, parse_rational, reduce_mod_p
 from .curves import (NodeCheckReport, ParameterError, PrymBinaryCurve, build_curve,
                      node_check, node_table, project_node, projection_node_index,
                      torsion_descriptor)
 from .gaussmap import (GaussMatrix, assemble_matrix, assemble_mod_p, evaluation_points,
                        matrix_checksum, matrix_from_bytes, matrix_from_json, matrix_shape,
-                       matrix_to_bytes, matrix_to_json, nu_closed_form, nu_wronskian,
-                       row_pairs, tau_infinity, tau_interior)
+                       matrix_to_bytes, matrix_to_json, nu_closed_form, row_pairs)
 from .rank import RankCertificate, certify, rank_exact, rank_mod_p
 from .induction import (InductionReport, InductionSubmatrix, build_induction_submatrix,
                         check_scaled_matrix, check_tau_closed_form, family_curve,

@@ -25,8 +25,7 @@ import time
 from . import __version__
 from .curves import ParameterError, build_curve, node_check
 from .exact import format_rational, parse_rational
-from .gaussmap import (assemble_matrix, matrix_to_bytes, matrix_to_json, nu_closed_form,
-                       nu_wronskian, row_pairs)
+from .gaussmap import assemble_matrix, matrix_to_bytes, matrix_to_json, nu_closed_form
 from .induction import sweep as induction_sweep
 from .classes import classes_report
 from .params import builtin_params, params_from_file, seeded_params, sweep_seed
@@ -125,21 +124,21 @@ def cmd_oracle(args):
     if curve.convention != "paper":
         raise ParameterError("oracle requires the paper convention "
                              "(closed forms are stated for it)")
+    matrix = assemble_matrix(curve)
+    layout = matrix.layout
     mismatches = []
-    for (i, j) in row_pairs(curve.genus):
+    for (i, j), row in zip(matrix.pairs, matrix.entries):
         for h in (1, 2):
-            got = nu_wronskian(curve, i, j, h)
-            want = nu_closed_form(curve, i, j, h)
+            start, end = layout[f"nu{h}"]
+            got, want = row[start:end], nu_closed_form(curve, i, j, h)
             if got != want:
-                degree = next(d for d in range(max(got.degree, want.degree) + 1)
-                              if got.coefficient(d) != want.coefficient(d))
+                degree = next(d for d, (x, y) in enumerate(zip(got, want)) if x != y)
                 mismatches.append({
                     "i": i, "j": j, "h": h, "degree": degree,
-                    "wronskian": format_rational(got.coefficient(degree)),
-                    "closed_form": format_rational(want.coefficient(degree)),
+                    "wronskian": format_rational(got[degree]),
+                    "closed_form": format_rational(want[degree]),
                 })
-    fields.update(pairs_checked=len(row_pairs(curve.genus)) * 2,
-                  mismatches=mismatches, ok=not mismatches)
+    fields.update(pairs_checked=matrix.rows * 2, mismatches=mismatches, ok=not mismatches)
     lines = [f"genus {curve.genus}: closed form == wronskian on {fields['pairs_checked']} "
              "blocks: " + ("PASS" if not mismatches else "FAIL")]
     for m in mismatches:

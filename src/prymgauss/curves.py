@@ -29,10 +29,10 @@ Nodes: P_l = e_l (standard basis) for l <= g-1 at parameter t = a_l on each
 component; P_g at t = 0 with pattern (0..0, 1..1) (k zeros first); P_{g+1}
 at u = 0 with the complementary pattern (1..1, 0..0).
 
-A curve's parameters never change after construction.  The polynomials
-above are built per index on first access and cached; since every cache
-entry has one possible value, a curve behaves as immutable and may be
-shared across threads.  All functions here are pure.
+`_cleared_alphas` builds the coordinates of one component over the integers,
+alpha_i = P_i/den; it is the one construction that the Gaussian-map matrix
+and `node_check` read.  A curve holds only its parameters and never changes
+after construction.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly, RationalLike, format_rational, parse_rational
+from .exact import RationalLike, format_rational, parse_rational
 
 CONVENTIONS = ("paper", "script")
 
@@ -52,13 +52,10 @@ class ParameterError(ValueError):
 
 
 class PrymBinaryCurve:
-    """Genus, parameter rows, and the derived embedding polynomials.
+    """Genus, convention and parameter rows, plus k and A2.
 
-    The constructor keeps only the parameters, k and A2.  M, alpha and
-    alpha_derivative are built per index on first access and cached;
-    a cache entry never changes once filled, and two threads that fill the
-    same entry store identical values, so sharing a curve across threads is
-    safe.  Only the oracles and `node_check` use them, not the assemblers.
+    Nothing else is stored: the coordinates are built from the parameters
+    when they are used (`coeff_pair`, `alpha_jet`, `_cleared_alphas`).
     """
 
     def __init__(self, genus: int, a1: Sequence[Fraction], a2: Sequence[Fraction],
@@ -69,9 +66,6 @@ class PrymBinaryCurve:
         self.a2 = tuple(a2)
         self.k = genus // 2
         self.A2 = math.prod(self.a2, start=Fraction(1))
-        self._m: dict[int, Poly] = {}
-        self._alpha: dict[tuple[int, int], Poly] = {}
-        self._dalpha: dict[tuple[int, int], Poly] = {}
 
     # -- construction helpers ------------------------------------------
 
@@ -87,19 +81,6 @@ class PrymBinaryCurve:
             return 0, -self.a1[i - 1] / self.A2
         return 0, -self.a1[i - 1] * self.A2
 
-    def _build_alpha(self, i: int, eps: int) -> Poly:
-        delta, c = self.coeff_pair(i, eps)
-        a = self.params(eps)[i - 1]
-        base = self.M(eps).div_linear(a)
-        return base * Poly((-c, delta))
-
-    @staticmethod
-    def _cached(table: dict, key: tuple, build):
-        value = table.get(key)
-        if value is None:
-            value = table[key] = build(*key)
-        return value
-
     # -- accessors ------------------------------------------------------
 
     def params(self, eps: int) -> tuple[Fraction, ...]:
@@ -108,18 +89,6 @@ class PrymBinaryCurve:
         if eps == 2:
             return self.a2
         raise ValueError(f"component index must be 1 or 2, got {eps}")
-
-    def M(self, eps: int) -> Poly:
-        """M(t) = prod_r (t - a_r) over the parameter row of component eps."""
-        return self._cached(self._m, (eps,), lambda eps: Poly.from_roots(self.params(eps)))
-
-    def alpha(self, i: int, eps: int) -> Poly:
-        """i-th embedding coordinate of component eps in the t chart."""
-        return self._cached(self._alpha, (i, eps), self._build_alpha)
-
-    def alpha_derivative(self, i: int, eps: int) -> Poly:
-        """Cached d/dt of alpha(i, eps)."""
-        return self._cached(self._dalpha, (i, eps), lambda i, eps: self.alpha(i, eps).derivative())
 
     def alpha_jet(self, i: int, eps: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         """(alpha, alpha', alpha'') of alpha(i, eps) at x, from the parameters.
@@ -205,52 +174,70 @@ class NodeCheckReport:
         return not self.failures
 
 
-def _proportional(vec: Sequence[Fraction], pattern: Sequence[int]) -> int | None:
+def _cleared_alphas(curve: PrymBinaryCurve, eps: int) -> tuple[list[list[int]], int]:
+    """(P, den), alpha(i, eps) = P[i-1]/den with integer P of length g: for
+    a_r = n_r/d_r, c_i = cn_i/cd_i and L = lcm cd_i, den = L prod d_r and
+    P_i = d_i (L/cd_i) (delta_i cd_i t - cn_i) prod_{r != i} (d_r t - n_r)."""
+    roots = curve.params(eps)
+    pairs = [curve.coeff_pair(i, eps) for i in range(1, curve.genus)]
+    lcm = math.lcm(*(c.denominator for _, c in pairs))
+    numerators = []
+    for i, (delta, c) in enumerate(pairs):
+        scale = roots[i].denominator * (lcm // c.denominator)
+        poly = [-c.numerator * scale, delta * c.denominator * scale]
+        for r, root in enumerate(roots):
+            if r != i:   # poly * (d_r t - n_r)
+                poly = [root.denominator * hi - root.numerator * lo
+                        for hi, lo in zip([0] + poly, poly + [0])]
+        numerators.append(poly)
+    return numerators, lcm * math.prod(root.denominator for root in roots)
+
+
+def _homogeneous_value(coeffs: list[int], n: int, m: int) -> int:
+    """m^e times the value at n/m of the degree-e polynomial `coeffs`."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * power
+        power *= m
+    return acc
+
+
+def _proportional(vec: Sequence[int], pattern: Sequence[int]) -> int | None:
     """Index of the first coordinate where vec is not a nonzero multiple of
-    pattern, or None if it is one."""
-    ratio = None
+    the 0/1 pattern, or None if it is one."""
+    value = None
     for idx, (v, p) in enumerate(zip(vec, pattern)):
         if p == 0:
             if v != 0:
                 return idx
+        elif v == 0 or (value is not None and v != value):
+            return idx
         else:
-            if v == 0:
-                return idx
-            if ratio is None:
-                ratio = v / p
-            elif v / p != ratio:
-                return idx
-    if ratio is None or ratio == 0:
-        return 0
-    return None
+            value = v
+    return 0 if value is None else None
 
 
 def node_check(curve: PrymBinaryCurve) -> NodeCheckReport:
     """Verify that each chart sends the right parameters to the right nodes.
 
-    For every component eps: the coordinate vector at t = a_l must be a
-    nonzero multiple of P_l (l <= g-1), at t = 0 of P_g, and the top-degree
-    coefficient vector of P_{g+1}.
+    For every component eps, on the cleared coordinates P_i of
+    `_cleared_alphas`: the vector (P_i(a_l)) must be a nonzero multiple of
+    P_l (l <= g-1), (P_i(0)) of P_g, and the top-degree coefficients of
+    P_{g+1}.  A node n/m is evaluated as m^(g-1) P_i(n/m); the factor
+    m^(g-1)/den is common to the coordinates, so the patterns are those of
+    the alpha_i.
     """
     g = curve.genus
-    nodes = node_table(g)
     failures = []
     for eps in (1, 2):
-        params = curve.params(eps)
-        coords = [curve.alpha(i, eps) for i in range(1, g)]
-        for l in range(1, g):
-            vec = [c(params[l - 1]) for c in coords]
-            bad = _proportional(vec, nodes[l - 1])
+        coords, _ = _cleared_alphas(curve, eps)
+        points = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1)]
+        vectors = [[_homogeneous_value(c, n, m) for c in coords] for n, m in points]
+        vectors.append([c[g - 1] for c in coords])
+        for l, (vec, pattern) in enumerate(zip(vectors, node_table(g)), start=1):
+            bad = _proportional(vec, pattern)
             if bad is not None:
                 failures.append(f"node P_{l}, component {eps}: coordinate {bad + 1} off pattern")
-        vec = [c(Fraction(0)) for c in coords]
-        bad = _proportional(vec, nodes[g - 1])
-        if bad is not None:
-            failures.append(f"node P_{g}, component {eps}: coordinate {bad + 1} off pattern")
-        vec = [c.coefficient(g - 1) for c in coords]
-        bad = _proportional(vec, nodes[g])
-        if bad is not None:
-            failures.append(f"node P_{g + 1}, component {eps}: coordinate {bad + 1} off pattern")
     return NodeCheckReport(genus=g, convention=curve.convention, failures=tuple(failures))
 
 

@@ -1,11 +1,10 @@
-"""Exact scalar and polynomial arithmetic.
+"""Exact scalar arithmetic.
 
 Scalars are arbitrary-precision rationals (`fractions.Fraction`), which are
 always stored in canonical form: positive denominator, gcd(|num|, den) = 1,
-zero as 0/1.  Polynomials are dense coefficient sequences over those
-rationals, ascending degree, with no trailing zero coefficient.  Everything
-here is immutable and side-effect free, so values can be shared freely
-between threads.
+zero as 0/1.  `parse_rational` and `format_rational` read and write them as
+"p" or "p/q" literals, and `clear_denominators` turns a rational row into
+integers over one denominator.  Everything here is side-effect free.
 
 A small prime-field layer supports modular rank bounds: `reduce_mod_p` is
 the one rational -> residue reduction, to int64 residues in [0, p).  The
@@ -20,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -145,164 +144,3 @@ def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     den = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
-
-
-class Poly:
-    """Dense univariate polynomial over the rationals.
-
-    Coefficients are stored ascending by degree; the zero polynomial is the
-    empty tuple, otherwise the last coefficient is nonzero.  Instances are
-    immutable.  Degrees in this package stay small (<= 2g-4), so dense
-    storage is the right trade.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [parse_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[RationalLike]) -> "Poly":
-        """Monic polynomial with exactly the given multiset of roots."""
-        coeffs = [Fraction(1)]
-        for r in roots:
-            r = parse_rational(r)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= r * c
-            coeffs = nxt
-        return cls(coeffs)
-
-    # -- structure ----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return Fraction(0)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return self._mul_poly(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: RationalLike) -> "Poly":
-        c = parse_rational(c)
-        if c == 0:
-            return Poly(())
-        return Poly(tuple(c * x for x in self.coeffs))
-
-    def _mul_poly(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        # Clear denominators and convolve over machine ints: much faster
-        # than Fraction addition, and exact.
-        ia, da = clear_denominators(a)
-        ib, db = clear_denominators(b)
-        out = [0] * (len(ia) + len(ib) - 1)
-        for i, ai in enumerate(ia):
-            if ai:
-                for j, bj in enumerate(ib):
-                    out[i + j] += ai * bj
-        d = da * db
-        return Poly(tuple(Fraction(n, d) for n in out))
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = parse_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def div_linear(self, root: RationalLike) -> "Poly":
-        """Exact quotient by (t - root); synthetic division.
-
-        Truncation is never silent: a nonzero remainder (root is not a root)
-        raises ValueError.
-        """
-        root = parse_rational(root)
-        if self.is_zero():
-            return Poly(())
-        quotient = [Fraction(0)] * (len(self.coeffs) - 1)
-        acc = Fraction(0)
-        for d in range(len(self.coeffs) - 1, 0, -1):
-            acc = self.coeffs[d] + root * acc
-            quotient[d - 1] = acc
-        remainder = self.coeffs[0] + root * acc
-        if remainder != 0:
-            raise ValueError(f"{format_rational(root)} is not a root (remainder {format_rational(remainder)})")
-        return Poly(quotient)
-
-    # -- comparisons --------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(format_rational(c))
-            elif d == 1:
-                terms.append(f"{format_rational(c)}*t")
-            else:
-                terms.append(f"{format_rational(c)}*t^{d}")
-        return "Poly(" + " + ".join(terms) + ")"

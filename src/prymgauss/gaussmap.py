@@ -17,21 +17,22 @@ splits into a polynomial part and a torsion part:
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
 (ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at P_1..P_g,
-tau at P_{g+1}.  `assemble_matrix` builds no polynomial: with alpha_i = P_i/den
-per component (integer P_i), nu_{ij} = (P_i P_j' - P_j P_i')/den^2, alpha_i'
-at a node n/m is P_i' by integer Horner homogenised by m^(g-2), over
-m^(g-2) den, and the slope at P_{g+1} is P_i's coefficient of degree g-2 over den.
+tau at P_{g+1}.  `assemble_matrix` works over the integer coordinates of
+`curves._cleared_alphas`: with alpha_i = P_i/den per component,
+nu_{ij} = (P_i P_j' - P_j P_i')/den^2, alpha_i' at a node n/m is P_i' by
+integer Horner homogenised by m^(g-2), over m^(g-2) den, and the slope at
+P_{g+1} is P_i's coefficient of degree g-2 over den.
 
 For the default normalization ("paper" convention) each nu_{ij,h} also has a
-closed form in three regimes (k = floor(g/2), a = parameter row h, B =
-M/((t-a_i)(t-a_j)), a polynomial):
+closed form in three regimes (k = floor(g/2), a = parameter row h,
+B = prod_{r != i, j} (t - a_r)):
 
     i < j <= k:      (a_i - a_j) t^2 B^2
     k < i < j:       (a_i - a_j) a_i a_j / A2^2 * B^2
     i <= k < j:      (-1)^h a_j / A2 * (t^2 - 2 a_i t + a_i a_j) B^2
 
-`nu_wronskian`, `tau_interior` and `tau_infinity`, over the curve's `Poly`
-coordinates, are the assembler's entrywise oracle; the closed forms check nu.
+`nu_closed_form` evaluates them, and the `oracle` command checks the nu
+blocks of `assemble_matrix` against it.
 
 `assemble_mod_p` builds the image of the same map over Z/pZ without any
 rational arithmetic.  It samples each nu_{ij,h} at the 2g-3 points
@@ -45,15 +46,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .curves import CONVENTIONS, PrymBinaryCurve
-from .exact import Poly, format_rational, parse_rational, reduce_mod_p
+from .curves import CONVENTIONS, PrymBinaryCurve, _cleared_alphas, _homogeneous_value
+from .exact import format_rational, parse_rational, reduce_mod_p
 
 
 def row_pairs(genus: int) -> tuple[tuple[int, int], ...]:
@@ -77,18 +77,11 @@ def column_layout(genus: int) -> dict:
     }
 
 
-def nu_wronskian(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Poly:
-    """alpha_i alpha_j' - alpha_j alpha_i' on component h (any convention)."""
-    ai = curve.alpha(i, h)
-    aj = curve.alpha(j, h)
-    return ai * curve.alpha_derivative(j, h) - aj * curve.alpha_derivative(i, h)
-
-
-def nu_closed_form(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Poly:
-    """Closed form for nu_{ij,h}; defined for the paper convention and i < j.
-
-    All divisions are exact polynomial divisions; the three regimes are
-    dispatched on the position of i, j relative to k.
+def nu_closed_form(curve: PrymBinaryCurve, i: int, j: int, h: int) -> tuple[Fraction, ...]:
+    """Closed form for nu_{ij,h}: its 2g-3 coefficients, ascending, laid out
+    like a nu block of a matrix row.  Defined for the paper convention and
+    i < j; B is a product of cleared linear factors (d_r t - n_r), so nothing
+    is divided.
     """
     if curve.convention != "paper":
         raise ValueError("closed forms are stated for the paper convention only")
@@ -96,43 +89,27 @@ def nu_closed_form(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Poly:
         raise ValueError(f"need 1 <= i < j <= g-1, got ({i}, {j})")
     a = curve.params(h)
     ai, aj = a[i - 1], a[j - 1]
-    k = curve.k
-    b = curve.M(h).div_linear(ai).div_linear(aj)
-    b2 = b * b
-    if j <= k:
-        return (b2 * Poly((0, 0, 1))).scale(ai - aj)
-    if i > k:
-        return b2.scale((ai - aj) * ai * aj / (curve.A2 * curve.A2))
-    sign = -1 if h == 1 else 1
-    quad = Poly((ai * aj, -2 * ai, 1))
-    return (b2 * quad).scale(Fraction(sign) * aj / curve.A2)
-
-
-def tau_interior(curve: PrymBinaryCurve, i: int, j: int, h: int) -> Fraction:
-    """Torsion value of (i, j) at interior node P_h, h = 1..g.
-
-    P_g is the node at t = 0; its evaluation point is the sentinel 0 on both
-    components.
-    """
-    tja = curve.alpha_derivative(j, 1)(curve.node_parameter(1, h))
-    tib = curve.alpha_derivative(i, 2)(curve.node_parameter(2, h))
-    tia = curve.alpha_derivative(i, 1)(curve.node_parameter(1, h))
-    tjb = curve.alpha_derivative(j, 2)(curve.node_parameter(2, h))
-    return tja * tib - tia * tjb
-
-
-def tau_infinity(curve: PrymBinaryCurve, i: int, j: int) -> Fraction:
-    """Torsion value of (i, j) at the node P_{g+1} (u = 0 in the far chart).
-
-    The u-derivative at 0 of uchart_i(u) = u^(g-1) alpha_i(1/u) is alpha_i's
-    coefficient of degree g-2.
-    """
-    d = curve.genus - 2
-    gja = curve.alpha(j, 1).coefficient(d)
-    gib = curve.alpha(i, 2).coefficient(d)
-    gia = curve.alpha(i, 1).coefficient(d)
-    gjb = curve.alpha(j, 2).coefficient(d)
-    return gja * gib - gia * gjb
+    b, den = [1], 1
+    for r, root in enumerate(a, start=1):
+        if r not in (i, j):   # b * (d_r t - n_r)
+            b = [root.denominator * hi - root.numerator * lo for hi, lo in zip([0] + b, b + [0])]
+            den *= root.denominator
+    if j <= curve.k:
+        scale, factor = ai - aj, (0, 0, 1)
+    elif i > curve.k:
+        scale, factor = (ai - aj) * ai * aj / (curve.A2 * curve.A2), (1,)
+    else:
+        scale, factor = (-1 if h == 1 else 1) * aj / curve.A2, (ai * aj, -2 * ai, 1)
+    square = [0] * (2 * len(b) - 1)
+    for d, x in enumerate(b):
+        for e, y in enumerate(b, start=d):
+            square[e] += x * y
+    out = [0] * (2 * curve.genus - 3)   # factor * b^2, then scaled by scale / den^2
+    for d, z in enumerate(factor):
+        for e, x in enumerate(square, start=d):
+            out[e] += z * x
+    scale /= den * den
+    return tuple(scale * x for x in out)
 
 
 @dataclass(frozen=True)
@@ -157,40 +134,6 @@ class GaussMatrix:
     @property
     def layout(self) -> dict:
         return column_layout(self.genus)
-
-    def nu_poly(self, row: int, h: int) -> Poly:
-        """Reconstruct nu_{ij,h} from the stored coefficient block."""
-        width = 2 * self.genus - 3
-        start = 0 if h == 1 else width
-        return Poly(self.entries[row][start:start + width])
-
-
-def _cleared_alphas(curve: PrymBinaryCurve, eps: int) -> tuple[list[list[int]], int]:
-    """(P, den), alpha(i, eps) = P[i-1]/den with integer P of length g: for
-    a_r = n_r/d_r, c_i = cn_i/cd_i and L = lcm cd_i, den = L prod d_r and
-    P_i = d_i (L/cd_i) (delta_i cd_i t - cn_i) prod_{r != i} (d_r t - n_r)."""
-    roots = curve.params(eps)
-    pairs = [curve.coeff_pair(i, eps) for i in range(1, curve.genus)]
-    lcm = math.lcm(*(c.denominator for _, c in pairs))
-    numerators = []
-    for i, (delta, c) in enumerate(pairs):
-        scale = roots[i].denominator * (lcm // c.denominator)
-        poly = [-c.numerator * scale, delta * c.denominator * scale]
-        for r, root in enumerate(roots):
-            if r != i:   # poly * (d_r t - n_r)
-                poly = [root.denominator * hi - root.numerator * lo
-                        for hi, lo in zip([0] + poly, poly + [0])]
-        numerators.append(poly)
-    return numerators, lcm * math.prod(root.denominator for root in roots)
-
-
-def _homogeneous_value(coeffs: list[int], n: int, m: int) -> int:
-    """m^e times the value at n/m of the degree-e polynomial `coeffs`."""
-    acc, power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * power
-        power *= m
-    return acc
 
 
 def _wronskian(p: list[int], dp: list[int], q: list[int], dq: list[int], width: int) -> list[int]:

@@ -22,8 +22,9 @@ distinct (index, component),
     nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
     tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2},
 
-which are the values of `nu_wronskian`, its derivative and `tau_interior`
-on the same curve (the tests keep those as the oracle).
+which are the values at the node of the nu blocks of `assemble_matrix`, of
+their derivatives and of its tau column at P_r on the same curve (the tests
+check the block against a sympy construction of the coordinates).
 
 Both nu rows of the last column vanish (its indices avoid r), so
 det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  det5 != 0 is

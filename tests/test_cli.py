@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from prymgauss import matrix_from_bytes, matrix_from_json, parse_rational, verify_det5
+from prymgauss import (GaussMatrix, assemble_matrix, build_curve, format_rational,
+                       matrix_from_bytes, matrix_from_json, nu_closed_form, parse_rational,
+                       verify_det5)
+from prymgauss import cli, curves
 from prymgauss.cli import main
 from prymgauss.params import params_to_file, seeded_params
 
@@ -118,6 +121,66 @@ def test_oracle_rejects_script_convention(capsys):
                            "--convention", "script")
     assert code == 2
     assert "paper" in err
+
+
+def test_oracle_reports_a_perturbed_nu_block(capsys, monkeypatch):
+    # (i, j) = (1, 3) is row 1; raise the degree-2 coefficient of its nu_2
+    matrix = assemble_matrix(build_curve(6, *seeded_params(6, 1)))
+    width = 2 * 6 - 3
+    entries = [list(row) for row in matrix.entries]
+    entries[1][width + 2] += 1
+    tampered = GaussMatrix(6, "paper", tuple(tuple(row) for row in entries))
+    monkeypatch.setattr(cli, "assemble_matrix", lambda curve: tampered)
+    code, out, _ = run_cli(capsys, "oracle", "--genus", "6", "--seed", "1",
+                           "--json", "--no-timing")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["pairs_checked"] == 20
+    assert data["mismatches"] == [{
+        "i": 1, "j": 3, "h": 2, "degree": 2,
+        "wronskian": format_rational(entries[1][width + 2]),
+        "closed_form": format_rational(matrix.entries[1][width + 2])}]
+
+
+def test_oracle_reports_a_perturbed_closed_form(capsys, monkeypatch):
+    def perturbed(curve, i, j, h):
+        coeffs = nu_closed_form(curve, i, j, h)
+        if (i, j, h) == (2, 4, 1):
+            return (coeffs[0] + Fraction(1, 2),) + coeffs[1:]
+        return coeffs
+    monkeypatch.setattr(cli, "nu_closed_form", perturbed)
+    code, out, _ = run_cli(capsys, "oracle", "--genus", "5", "--seed", "1", "--no-timing")
+    assert code == 1
+    nu = nu_closed_form(build_curve(5, *seeded_params(5, 1)), 2, 4, 1)[0]
+    assert out.splitlines() == [
+        "genus 5: closed form == wronskian on 12 blocks: FAIL",
+        f"  mismatch at (i=2, j=4, h=1), degree 0: {format_rational(nu)} != "
+        f"{format_rational(nu + Fraction(1, 2))}"]
+
+
+@pytest.mark.parametrize("convention", ["paper", "script"])
+def test_curve_validate_reports_a_coordinate_off_pattern(capsys, monkeypatch, convention):
+    cleared = curves._cleared_alphas
+
+    def perturbed(curve, eps):
+        polys, den = cleared(curve, eps)
+        if eps == 2:
+            polys[2][0] += 1      # P_3(0) != 0, so P_3 leaves the patterns of P_1, P_2, P_4
+        return polys, den
+    monkeypatch.setattr(curves, "_cleared_alphas", perturbed)
+    argv = ["curve", "validate", "--genus", "5", "--seed", "2", "--convention", convention]
+    code, out, _ = run_cli(capsys, *argv, "--no-timing")
+    assert code == 1
+    failures = ["node P_1, component 2: coordinate 3 off pattern",
+                "node P_2, component 2: coordinate 3 off pattern",
+                "node P_4, component 2: coordinate 3 off pattern",
+                "node P_5, component 2: coordinate 4 off pattern"]
+    assert out.splitlines() == [f"genus 5 ({convention}): node check FAIL"] + \
+        [f"  {line}" for line in failures]
+    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["failures"] == failures
 
 
 def test_induction_cli(capsys):

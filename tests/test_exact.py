@@ -1,4 +1,4 @@
-"""exact-core: rational parsing, polynomial arithmetic, prime fields."""
+"""exact-core: rational parsing, denominator clearing, prime fields."""
 
 import math
 from fractions import Fraction
@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymgauss import (BadPrimeError, FIELD_PRIMES, Poly, format_rational, parse_rational,
-                       reduce_mod_p)
+from prymgauss import BadPrimeError, FIELD_PRIMES, format_rational, parse_rational, reduce_mod_p
 from prymgauss.exact import clear_denominators
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-polys = st.lists(rationals, max_size=21).map(Poly)
 
 
 # -- rational literals -------------------------------------------------
@@ -70,91 +68,7 @@ def test_canonical_form_idempotent():
     assert Fraction(0, 7) == Fraction(0, 1)
 
 
-# -- polynomial examples ----------------------------------------------
-
-def test_derivative_power_rule():
-    p = Poly([1, -3, 1])            # t^2 - 3t + 1
-    assert p.derivative() == Poly([-3, 2])
-
-
-def test_derivative_of_constant_is_zero():
-    assert Poly.constant(5).derivative() == Poly.zero()
-    assert Poly.zero().derivative() == Poly.zero()
-
-
-def test_derivative_of_quadratic_from_roots():
-    m = Poly.from_roots([1, 2])     # t^2 - 3t + 2
-    assert m == Poly([2, -3, 1])
-    dm = m.derivative()
-    assert dm == Poly([-3, 2])
-    assert dm(1) == -1              # M'(1) for M = (t-1)(t-2)
-
-
-def test_derivative_drops_degree_by_one():
-    p = Poly.from_roots([1, 2, 3, 4, 5])
-    assert p.derivative().degree == p.degree - 1
-
-
-def test_from_roots_empty_product_is_one():
-    assert Poly.from_roots([]) == Poly.constant(1)
-
-
-def test_from_roots_expansion():
-    assert Poly.from_roots([1, 2]) == Poly([2, -3, 1])
-
-
-def test_from_roots_value_at_zero():
-    # product of the negated roots
-    assert Poly.from_roots([1, 2, 3, 4])(0) == 24
-
-
-def test_div_linear_factorization():
-    p = Poly([2, -3, 1])
-    assert p.div_linear(1) == Poly([-2, 1])
-
-
-def test_div_linear_rejects_non_root():
-    with pytest.raises(ValueError, match="not a root"):
-        Poly([2, -3, 1]).div_linear(5)
-
-
-def test_div_linear_matches_root_removal():
-    p = Poly.from_roots([1, 2, 3, 4])
-    assert p.div_linear(3) == Poly.from_roots([1, 2, 4])
-
-
-def test_poly_is_immutable():
-    p = Poly([1, 2])
-    with pytest.raises(AttributeError):
-        p.coeffs = (Fraction(0),)
-
-
-# -- polynomial properties ---------------------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
-def test_product_rule(p, q):
-    left = (p * q).derivative()
-    right = p.derivative() * q + p * q.derivative()
-    assert left == right
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(rationals, min_size=1, max_size=8), st.data())
-def test_div_linear_inverts_from_roots(roots, data):
-    r = data.draw(st.sampled_from(roots))
-    rest = list(roots)
-    rest.remove(r)
-    assert Poly.from_roots(roots).div_linear(r) == Poly.from_roots(rest)
-
-
-@settings(max_examples=40, deadline=None)
-@given(polys, rationals)
-def test_evaluation_is_ring_morphism(p, x):
-    q = Poly([1, 1])                # t + 1
-    assert (p * q)(x) == p(x) * q(x)
-    assert (p + q)(x) == p(x) + q(x)
-
+# -- denominators ------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, max_size=8))

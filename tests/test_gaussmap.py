@@ -7,16 +7,16 @@ import pytest
 
 import numpy as np
 
-from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, Poly, PrymBinaryCurve,
-                       assemble_matrix, assemble_mod_p, build_curve, builtin_params,
-                       evaluation_points, family_curve, matrix_checksum, matrix_from_bytes,
-                       matrix_from_json, matrix_shape, matrix_to_bytes, matrix_to_json,
-                       nu_closed_form, nu_wronskian, reduce_mod_p, row_pairs, seeded_params,
-                       tau_infinity, tau_interior)
+from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
+                       assemble_mod_p, build_curve, builtin_params, evaluation_points,
+                       family_curve, matrix_checksum, matrix_from_bytes, matrix_from_json,
+                       matrix_shape, matrix_to_bytes, matrix_to_json, nu_closed_form,
+                       reduce_mod_p, row_pairs, seeded_params)
 from prymgauss import gaussmap
-from prymgauss.curves import CONVENTIONS
+from prymgauss.curves import CONVENTIONS, _cleared_alphas
+from sympy_reference import Reference
 
-# Frozen oracle values below were computed with an independent symbolic
+# Frozen values below were computed with an independent symbolic
 # differentiation of the embedding coordinates (rational functions), then
 # substituting the node parameters.
 
@@ -34,20 +34,43 @@ def gen_curve():
     return build_curve(5, *G5_GENERIC)
 
 
+def nu_block(matrix, row, h):
+    """The stored coefficients of nu_{ij,h} for the pair of `row`, ascending."""
+    start, end = matrix.layout[f"nu{h}"]
+    return matrix.entries[row][start:end]
+
+
+def value(coeffs, x):
+    """Value at x of the polynomial with ascending coefficients `coeffs`."""
+    return sum(c * x ** d for d, c in enumerate(coeffs))
+
+
+def derivative(coeffs):
+    return [d * c for d, c in enumerate(coeffs)][1:]
+
+
+def wronskian(curve, i, j, h):
+    """_wronskian of the cleared coordinates P_i, P_j of component h."""
+    polys, _ = _cleared_alphas(curve, h)
+    p, q = polys[i - 1], polys[j - 1]
+    return gaussmap._wronskian(p, derivative(p), q, derivative(q), 2 * curve.genus - 3)
+
+
 def test_wronskian_of_equal_rows_is_zero(sym_curve):
-    assert nu_wronskian(sym_curve, 2, 2, 1).is_zero()
+    assert not any(wronskian(sym_curve, 2, 2, 1))
 
 
 def test_wronskian_antisymmetry(sym_curve):
     for h in (1, 2):
-        assert nu_wronskian(sym_curve, 1, 3, h) == -nu_wronskian(sym_curve, 3, 1, h)
+        assert wronskian(sym_curve, 1, 3, h) == [-x for x in wronskian(sym_curve, 3, 1, h)]
 
 
 def test_nu_34_1_closed_value(sym_curve):
-    # (a_3 - a_4) a_3 a_4 / A2^2 * ((t-1)(t-2))^2 with A2 = 384
-    b = Poly.from_roots([1, 2])
-    expected = (b * b).scale(Fraction(-12, 384 ** 2))
-    assert nu_wronskian(sym_curve, 3, 4, 1) == expected
+    # (a_3 - a_4) a_3 a_4 / A2^2 * ((t-1)(t-2))^2 with A2 = 384:
+    # ((t-1)(t-2))^2 = t^4 - 6t^3 + 13t^2 - 12t + 4
+    expected = tuple(Fraction(-12, 384 ** 2) * c for c in (4, -12, 13, -6, 1, 0, 0))
+    m = assemble_matrix(sym_curve)
+    assert nu_block(m, m.pairs.index((3, 4)), 1) == expected
     assert nu_closed_form(sym_curve, 3, 4, 1) == expected
 
 
@@ -56,9 +79,10 @@ def test_closed_form_regimes_match_wronskian():
         for seed in seeds:
             a1, a2 = seeded_params(g, seed)
             c = build_curve(g, a1, a2, "paper")
-            for (i, j) in row_pairs(g):
+            m = assemble_matrix(c)
+            for row, (i, j) in enumerate(m.pairs):
                 for h in (1, 2):
-                    assert nu_closed_form(c, i, j, h) == nu_wronskian(c, i, j, h), (g, seed, i, j, h)
+                    assert nu_closed_form(c, i, j, h) == nu_block(m, row, h), (g, seed, i, j, h)
 
 
 def test_closed_form_requires_paper_convention():
@@ -78,45 +102,48 @@ def test_nu_degree_bounds():
     a1, a2 = seeded_params(9, 17)
     c = build_curve(9, a1, a2)
     k = c.k
-    for (i, j) in row_pairs(9):
+    m = assemble_matrix(c)
+    for row, (i, j) in enumerate(m.pairs):
         for h in (1, 2):
-            nu = nu_wronskian(c, i, j, h)
-            assert nu.degree <= 2 * 9 - 4
+            nu = nu_block(m, row, h)
+            degree = max(d for d, x in enumerate(nu) if x)
+            assert len(nu) == 2 * 9 - 3
             if j <= k:
-                assert nu.degree == 2 * 9 - 4
+                assert degree == 2 * 9 - 4
             if i > k:
-                assert nu.degree <= 2 * 9 - 6
+                assert degree <= 2 * 9 - 6
 
 
 def test_nu_double_vanishing():
     a1, a2 = seeded_params(7, 8)
     c = build_curve(7, a1, a2)
+    m = assemble_matrix(c)
     for h in (1, 2):
         params = c.params(h)
-        nu = nu_wronskian(c, 2, 5, h)
-        dnu = nu.derivative()
+        nu = nu_block(m, m.pairs.index((2, 5)), h)
         for l in range(1, 7):
             if l not in (2, 5):
-                assert nu(params[l - 1]) == 0
-                assert dnu(params[l - 1]) == 0
+                assert value(nu, params[l - 1]) == 0
+                assert value(derivative(nu), params[l - 1]) == 0
 
 
 # -- torsion ------------------------------------------------------------
 
-def test_tau_interior_diagonal_and_swap(gen_curve):
-    assert tau_interior(gen_curve, 2, 2, 1) == 0
-    assert tau_interior(gen_curve, 1, 3, 2) == -tau_interior(gen_curve, 3, 1, 2)
+def tau(curve, i, j, h):
+    """The assembled torsion entry of (i, j) at the node P_h, h = 1..g+1."""
+    m = assemble_matrix(curve)
+    return m.entries[m.pairs.index((i, j))][m.layout["tau_interior"][0] + h - 1]
 
 
 def test_tau_interior_frozen_oracle_values(sym_curve, gen_curve):
     # symmetric curve: a_{i,2} = 2 a_{i,1} forces extra vanishing
-    assert tau_interior(sym_curve, 1, 2, 3) == 0
-    assert tau_interior(sym_curve, 2, 4, 1) == 2
+    assert tau(sym_curve, 1, 2, 3) == 0
+    assert tau(sym_curve, 2, 4, 1) == 2
     # generic curve
-    assert tau_interior(gen_curve, 1, 2, 3) == Fraction(1989, 8)
-    assert tau_interior(gen_curve, 1, 3, 2) == Fraction(-3616, 105)
-    assert tau_interior(gen_curve, 2, 4, 5) == Fraction(-92, 5)   # sentinel node P_g
-    assert tau_interior(gen_curve, 1, 4, 1) == Fraction(-148, 105)
+    assert tau(gen_curve, 1, 2, 3) == Fraction(1989, 8)
+    assert tau(gen_curve, 1, 3, 2) == Fraction(-3616, 105)
+    assert tau(gen_curve, 2, 4, 5) == Fraction(-92, 5)   # sentinel node P_g
+    assert tau(gen_curve, 1, 4, 1) == Fraction(-148, 105)
 
 
 def test_tau_interior_node_range(gen_curve):
@@ -124,39 +151,36 @@ def test_tau_interior_node_range(gen_curve):
         gen_curve.node_parameter(1, 6)
 
 
-def test_tau_infinity_diagonal_and_swap(gen_curve):
-    assert tau_infinity(gen_curve, 3, 3) == 0
-    assert tau_infinity(gen_curve, 1, 2) == -tau_infinity(gen_curve, 2, 1)
-
-
 def test_tau_infinity_frozen_oracle_values(sym_curve, gen_curve):
-    assert tau_infinity(sym_curve, 2, 3) == Fraction(-1, 4)
-    assert tau_infinity(gen_curve, 1, 2) == Fraction(-221, 2)
-    assert tau_infinity(gen_curve, 2, 3) == Fraction(19, 63)
-    assert tau_infinity(gen_curve, 1, 4) == Fraction(26, 45)
+    assert tau(sym_curve, 2, 3, 6) == Fraction(-1, 4)
+    assert tau(gen_curve, 1, 2, 6) == Fraction(-221, 2)
+    assert tau(gen_curve, 2, 3, 6) == Fraction(19, 63)
+    assert tau(gen_curve, 1, 4, 6) == Fraction(26, 45)
 
 
 def test_tau_infinity_is_uchart_degree_one_coefficient(gen_curve):
-    # uchart_i(u) = MM(u) (delta_i - c_i u) / (1 - a_i u), MM(u) = prod_r (1 - a_r u),
-    # built here from the parameters; its degree-1 coefficient is the slope at u = 0
+    # uchart_i(u) = prod_{r != i} (1 - a_r u) (delta_i - c_i u), expanded by
+    # sympy from the parameters; its degree-1 coefficient is the slope at u = 0
+    sp = pytest.importorskip("sympy")
+    u = sp.symbols("u")
+
     def slope(i, eps):
         delta, c = gen_curve.coeff_pair(i, eps)
-        others = Poly.from_roots([1 / a for r, a in enumerate(gen_curve.params(eps), 1) if r != i])
-        factor = Fraction(1)
+        chart = sp.Rational(delta) - sp.Rational(c.numerator, c.denominator) * u
         for r, a in enumerate(gen_curve.params(eps), 1):
             if r != i:
-                factor *= -a
-        return (others.scale(factor) * Poly((delta, -c))).coefficient(1)
+                chart *= 1 - sp.Rational(a.numerator, a.denominator) * u
+        coeff = sp.expand(chart).coeff(u, 1)
+        return Fraction(int(coeff.p), int(coeff.q))
     g1 = [slope(i, 1) for i in range(1, 5)]
     g2 = [slope(i, 2) for i in range(1, 5)]
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert tau_infinity(gen_curve, i, j) == g1[j - 1] * g2[i - 1] - g1[i - 1] * g2[j - 1]
+    for i, j in row_pairs(5):
+        assert tau(gen_curve, i, j, 6) == g1[j - 1] * g2[i - 1] - g1[i - 1] * g2[j - 1]
 
 
 def test_live_symbolic_oracle_on_seeded_curve():
     # independent route: differentiate the embedding coordinates as symbolic
-    # rational functions and compare blockwise
+    # rational functions and compare blockwise with the assembled matrix
     sp = pytest.importorskip("sympy")
     t = sp.symbols("t")
     g, seed = 6, 14
@@ -177,9 +201,11 @@ def test_live_symbolic_oracle_on_seeded_curve():
             else:
                 alpha[(i, h)] = sp.cancel(-sa[2][i] * M[2] / (A2 * (t - sa[2][i])))
 
-    def as_sympy(poly):
+    def as_sympy(coeffs):
         return sum(sp.Rational(co.numerator, co.denominator) * t ** d
-                   for d, co in enumerate(poly.coeffs))
+                   for d, co in enumerate(coeffs))
+
+    m = assemble_matrix(c)
 
     # P_{g+1}: slopes at u = 0 of the far chart u^(g-1) alpha(1/u)
     u = sp.symbols("u")
@@ -187,19 +213,20 @@ def test_live_symbolic_oracle_on_seeded_curve():
              for key, poly in alpha.items()}
 
     for (i, j) in ((1, 2), (2, 5), (3, 4)):
+        row = m.pairs.index((i, j))
         for h in (1, 2):
             sym = sp.expand(alpha[(i, h)] * sp.diff(alpha[(j, h)], t)
                             - alpha[(j, h)] * sp.diff(alpha[(i, h)], t))
-            assert sp.expand(sym - as_sympy(nu_wronskian(c, i, j, h))) == 0
+            assert sp.expand(sym - as_sympy(nu_block(m, row, h))) == 0
         for hnode in (1, 4, g):
             p1 = sa[1][hnode] if hnode < g else sp.Integer(0)
             p2 = sa[2][hnode] if hnode < g else sp.Integer(0)
             sym_tau = (sp.diff(alpha[(j, 1)], t).subs(t, p1) * sp.diff(alpha[(i, 2)], t).subs(t, p2)
                        - sp.diff(alpha[(i, 1)], t).subs(t, p1) * sp.diff(alpha[(j, 2)], t).subs(t, p2))
-            mine = tau_interior(c, i, j, hnode)
+            mine = tau(c, i, j, hnode)
             assert sp.Rational(mine.numerator, mine.denominator) == sp.nsimplify(sym_tau)
         sym_tau = slope[(j, 1)] * slope[(i, 2)] - slope[(i, 1)] * slope[(j, 2)]
-        mine = tau_infinity(c, i, j)
+        mine = tau(c, i, j, g + 1)
         assert sp.Rational(mine.numerator, mine.denominator) == sym_tau
 
 
@@ -276,30 +303,17 @@ def test_assembled_dimensions():
 
 
 def test_assembled_rows_match_block_functions(gen_curve):
+    # block by block against the sympy reference's nu and tau
     m = assemble_matrix(gen_curve)
+    ref = Reference(gen_curve)
     width = 2 * 5 - 3
     for r, (i, j) in enumerate(m.pairs):
         row = m.entries[r]
-        assert m.nu_poly(r, 1) == nu_wronskian(gen_curve, i, j, 1)
-        assert m.nu_poly(r, 2) == nu_wronskian(gen_curve, i, j, 2)
+        assert list(nu_block(m, r, 1)) == ref.nu_block(i, j, 1)
+        assert list(nu_block(m, r, 2)) == ref.nu_block(i, j, 2)
         for h in range(1, 6):
-            assert row[2 * width + h - 1] == tau_interior(gen_curve, i, j, h)
-        assert row[-1] == tau_infinity(gen_curve, i, j)
-
-
-def oracle_entries(curve):
-    """The matrix entry by entry from the Poly-based block functions (a nu of
-    too high a degree makes its row too long to compare equal)."""
-    g = curve.genus
-    width = 2 * g - 3
-
-    def nu(i, j, h):
-        coeffs = nu_wronskian(curve, i, j, h).coeffs
-        return coeffs + (Fraction(0),) * (width - len(coeffs))
-    return tuple(nu(i, j, 1) + nu(i, j, 2)
-                 + tuple(tau_interior(curve, i, j, h) for h in range(1, g + 1))
-                 + (tau_infinity(curve, i, j),)
-                 for i, j in row_pairs(g))
+            assert row[2 * width + h - 1] == ref.tau(i, j, h)
+        assert row[-1] == ref.tau(i, j, 6)
 
 
 def _oracle_curves():
@@ -320,25 +334,15 @@ def _oracle_curves():
 
 @pytest.mark.parametrize("genus,a1,a2,convention", list(_oracle_curves()))
 def test_assembled_matrix_equals_the_entrywise_oracle(genus, a1, a2, convention):
+    # a nu of too high a degree makes its row too long to compare equal
     curve = build_curve(genus, a1, a2, convention)
-    assert assemble_matrix(curve).entries == oracle_entries(curve)
+    assert assemble_matrix(curve).entries == Reference(curve).entries()
 
 
 @pytest.mark.parametrize("a", [2, Fraction(-5, 7)])
 def test_assembled_family_curve_equals_the_entrywise_oracle(a):
     curve = family_curve(13, a)
-    assert assemble_matrix(curve).entries == oracle_entries(curve)
-
-
-def test_assemble_matrix_builds_no_polynomial(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("polynomial built")
-    monkeypatch.setattr(Poly, "_mul_poly", refuse)
-    monkeypatch.setattr(Poly, "from_roots", refuse)
-    monkeypatch.setattr(PrymBinaryCurve, "alpha", refuse)
-    m = assemble_matrix(build_curve(12, *builtin_params(12), "script"))
-    assert matrix_checksum(m) == \
-        "d2c2ac85e4a60edd317750c5fb51b7cbac13b3d05aa1ef27f7fcc2cde035e5d2"
+    assert assemble_matrix(curve).entries == Reference(curve).entries()
 
 
 def test_assemble_matrix_rejects_a_nu_above_degree_2g_minus_4(monkeypatch):
@@ -356,22 +360,11 @@ def test_assembled_nu_block_double_zero():
     a1, a2 = seeded_params(8, 9)
     c = build_curve(8, a1, a2)
     m = assemble_matrix(c)
-    row = m.pairs.index((2, 6))
-    nu1 = m.nu_poly(row, 1)
-    dnu1 = nu1.derivative()
+    nu1 = nu_block(m, m.pairs.index((2, 6)), 1)
     for l in range(1, 8):
         if l not in (2, 6):
-            assert nu1(c.a1[l - 1]) == 0
-            assert dnu1(c.a1[l - 1]) == 0
-
-
-def test_row_skew_symmetry(gen_curve):
-    for (i, j) in ((1, 2), (2, 4)):
-        for h in (1, 2):
-            assert nu_wronskian(gen_curve, j, i, h) == -nu_wronskian(gen_curve, i, j, h)
-        for hnode in range(1, 6):
-            assert tau_interior(gen_curve, j, i, hnode) == -tau_interior(gen_curve, i, j, hnode)
-        assert tau_infinity(gen_curve, j, i) == -tau_infinity(gen_curve, i, j)
+            assert value(nu1, c.a1[l - 1]) == 0
+            assert value(derivative(nu1), c.a1[l - 1]) == 0
 
 
 def test_golden_checksum_script_convention_g12():

@@ -6,13 +6,30 @@ import pytest
 
 from prymgauss import (build_induction_submatrix, check_scaled_matrix,
                        check_tau_closed_form, family_curve, induction_sweep,
-                       selected_pairs, tau_closed_form, tau_interior, verify_det5)
+                       selected_pairs, tau_closed_form, verify_det5)
 from prymgauss.induction import (even_reference_matrix, odd_reference_matrix,
                                  reference_matrix)
-from prymgauss import InductionSubmatrix, Poly, PrymBinaryCurve, assemble_matrix, nu_wronskian
+from prymgauss import InductionSubmatrix, assemble_matrix
+from prymgauss import curves, gaussmap
 from prymgauss import induction as induction_module
 from prymgauss.curves import projection_node_index
 from prymgauss.rank import det_exact
+from sympy_reference import Reference, evaluate
+
+
+def value(coeffs, x):
+    """Value at x of the polynomial with ascending coefficients `coeffs`."""
+    return sum(c * x ** d for d, c in enumerate(coeffs))
+
+
+def derivative(coeffs):
+    return [d * c for d, c in enumerate(coeffs)][1:]
+
+
+def assembled_tau(curve, i, j, h):
+    """The torsion entry of (i, j) at the interior node P_h of the assembled matrix."""
+    m = assemble_matrix(curve)
+    return m.entries[m.pairs.index((i, j))][m.layout["tau_interior"][0] + h - 1]
 
 
 def test_selected_pairs_even():
@@ -59,16 +76,16 @@ def test_submatrix_rows_match_assembled_matrix():
     r = projection_node_index(g)
     pt1 = curve.node_parameter(1, r)
     pt2 = curve.node_parameter(2, r)
+    layout = m.layout
     for q, pair in enumerate(sub.columns):
-        row = m.pairs.index(pair)
-        nu1 = m.nu_poly(row, 1)
-        nu2 = m.nu_poly(row, 2)
-        width = 2 * g - 3
-        assert sub.entries[0][q] == nu1(pt1)
-        assert sub.entries[1][q] == nu1.derivative()(pt1)
-        assert sub.entries[2][q] == nu2(pt2)
-        assert sub.entries[3][q] == nu2.derivative()(pt2)
-        assert sub.entries[4][q] == m.entries[row][2 * width + r - 1]
+        row = m.entries[m.pairs.index(pair)]
+        nu1 = row[slice(*layout["nu1"])]
+        nu2 = row[slice(*layout["nu2"])]
+        assert sub.entries[0][q] == value(nu1, pt1)
+        assert sub.entries[1][q] == value(derivative(nu1), pt1)
+        assert sub.entries[2][q] == value(nu2, pt2)
+        assert sub.entries[3][q] == value(derivative(nu2), pt2)
+        assert sub.entries[4][q] == row[layout["tau_interior"][0] + r - 1]
 
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (15, 3), (16, Fraction(-5, 7))])
@@ -126,9 +143,9 @@ def test_tau_closed_form_value_even():
             prod *= (k - l) ** 2
     displayed_magnitude = Fraction(2 * k * (k + 1) * a ** (g - 2), a2_product) * prod
     curve = family_curve(g, a)
-    value = tau_interior(curve, k - 1, k + 1, k)
-    assert abs(value) == displayed_magnitude
-    assert value == tau_closed_form(g, a) == -displayed_magnitude
+    tau = assembled_tau(curve, k - 1, k + 1, k)
+    assert abs(tau) == displayed_magnitude
+    assert tau == tau_closed_form(g, a) == -displayed_magnitude
 
 
 def test_tau_closed_form_value_odd():
@@ -142,7 +159,7 @@ def test_tau_closed_form_value_odd():
             prod *= (k + 1 - l) ** 2
     displayed = Fraction(-4 * (k + 1) * (k + 2) * a ** (g - 2), a2_product) * prod
     curve = family_curve(g, a)
-    assert tau_interior(curve, k - 1, k + 2, k + 1) == displayed == tau_closed_form(g, a)
+    assert assembled_tau(curve, k - 1, k + 2, k + 1) == displayed == tau_closed_form(g, a)
 
 
 def test_display_sign_diagnostic():
@@ -169,26 +186,29 @@ def test_report_json_shape():
 
 @pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7), Fraction(9, 2)])
 def test_jet_block_equals_wronskian_oracle(a):
-    # the block is built from alpha jets; nu_wronskian, its derivative and
-    # tau_interior on the same curve must give the same entries exactly
+    # the block is built from alpha jets; the Wronskians of the sympy
+    # coordinates, their derivatives and its tau on the same curve must give
+    # the same entries exactly
     for g in range(13, 41):
         curve = family_curve(g, a)
+        ref = Reference(curve)
         sub = build_induction_submatrix(g, a)
         r = projection_node_index(g)
         pt1, pt2 = curve.node_parameter(1, r), curve.node_parameter(2, r)
         for q, (i, j) in enumerate(sub.columns):
-            nu1 = nu_wronskian(curve, i, j, 1)
-            nu2 = nu_wronskian(curve, i, j, 2)
-            expected = (nu1(pt1), nu1.derivative()(pt1), nu2(pt2), nu2.derivative()(pt2),
-                        tau_interior(curve, i, j, r))
+            (nu1, den1), (nu2, den2) = ref.nu(i, j, 1), ref.nu(i, j, 2)
+            expected = (evaluate(nu1, pt1) / den1, evaluate(nu1.diff(), pt1) / den1,
+                        evaluate(nu2, pt2) / den2, evaluate(nu2.diff(), pt2) / den2,
+                        ref.tau(i, j, r))
             assert tuple(sub.entries[p][q] for p in range(5)) == expected, (g, a, (i, j))
 
 
 def test_verify_det5_builds_no_polynomial(monkeypatch):
+    # the block comes from alpha jets, never from the cleared coordinates
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial built")
-    monkeypatch.setattr(Poly, "from_roots", refuse)
-    monkeypatch.setattr(PrymBinaryCurve, "alpha", refuse)
+    monkeypatch.setattr(curves, "_cleared_alphas", refuse)
+    monkeypatch.setattr(gaussmap, "_cleared_alphas", refuse)
     for g in (13, 14, 100):
         report = verify_det5(g, Fraction(-5, 7))
         assert report.ok and report.scaled4x4_matches is True
