@@ -93,18 +93,23 @@ class PrymBinaryCurve:
     def alpha_jet(self, i: int, eps: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         """(alpha, alpha', alpha'') of alpha(i, eps) at x, from the parameters.
 
-        A running product of (x - a_s) over s != i carries its first two
-        derivatives by the product rule; nothing is divided, so x may be a
-        parameter.  O(g) exact operations and no polynomial.
+        A running product q of x - a_s = e_s/w_s over s != i (x = n/m, a_s =
+        n_s/d_s, e_s = n d_s - n_s m, w_s = m d_s) carries W (q, q', q''),
+        W = prod w_s, over the integers by the product rule; nothing is divided,
+        so x may be a parameter.  O(g) integer operations and three Fractions.
         """
         delta, c = self.coeff_pair(i, eps)
-        q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
+        n, m = x.numerator, x.denominator
+        Q, dQ, ddQ, W = 1, 0, 0, 1
         for s, root in enumerate(self.params(eps), start=1):
             if s != i:
-                d = x - root
-                q, dq, ddq = q * d, dq * d + q, ddq * d + 2 * dq
+                e, w = n * root.denominator - root.numerator * m, m * root.denominator
+                Q, dQ, ddQ, W = Q * e, dQ * e + Q * w, ddQ * e + 2 * dQ * w, W * w
         lin = delta * x - c
-        return q * lin, dq * lin + q * delta, ddq * lin + 2 * dq * delta
+        ln, ld = lin.numerator, lin.denominator
+        D = W * ld
+        return (Fraction(Q * ln, D), Fraction(dQ * ln + Q * delta * ld, D),
+                Fraction(ddQ * ln + 2 * dQ * delta * ld, D))
 
     def node_parameter(self, eps: int, h: int) -> Fraction:
         """t-coordinate of node P_h on component eps, h = 1..g (P_g at t=0)."""

@@ -15,7 +15,7 @@ and its columns are five selected pairs (i, j):
 
 The block is built from jets, not polynomials: `PrymBinaryCurve.alpha_jet`
 gives (alpha_i, alpha_i', alpha_i'') at the node parameter from a running
-product of (t - a_s), s != i, in O(g) exact operations.  With one jet per
+product of (t - a_s), s != i, in O(g) integer operations.  With one jet per
 distinct (index, component),
 
     nu  = alpha_i alpha_j'  - alpha_j alpha_i',

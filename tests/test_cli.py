@@ -325,6 +325,9 @@ GOLDEN_STDOUT_SHA256 = {
         "7f323fe4b63bc40d3c4903bab155db05b9d8ce5c524395d5144e9a47c7be5585",
     "induction --g-min 100 --g-max 100":
         "6cfef2fe9eedff00d11ccb5a7c322948caa88bb0a5c98d45c983d76faf1c0267",
+    # pinned on the Fraction running-product jets that preceded integer-cleared jets
+    "induction --g-min 13 --g-max 100":
+        "7c3e1edd70e5ee6eea8a44b4aec4b4b4879190eeddded631d0a54143d7f4ab32",
     # pinned before the commands shared one report runner
     "oracle --genus 9 --seed 3":
         "7083a05c60c51097a3dab6d1b021be1241e6d0e72fd6a8be06ffbffcd3ef7b58",

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymgauss import (ParameterError, build_curve, node_check, node_table,
-                       project_node, projection_node_index, seeded_params,
+from prymgauss import (ParameterError, build_curve, family_curve, node_check,
+                       node_table, project_node, projection_node_index, seeded_params,
                        torsion_descriptor)
 from prymgauss import curves, gaussmap
 from prymgauss.curves import _cleared_alphas, _homogeneous_value
@@ -212,17 +212,65 @@ def test_curve_holds_only_its_parameters():
 
 
 def test_alpha_jet_matches_polynomial_derivatives():
-    # against the sympy construction of the coordinates
+    # against the sympy construction of the coordinates, in both conventions
     a1, a2 = seeded_params(8, 6)
-    curve = build_curve(8, a1, a2, "script")
-    ref = Reference(curve)
-    points = [Fraction(0), Fraction(3, 7), curve.a1[2], curve.a2[5]]
+    for convention in ("script", "paper"):
+        curve = build_curve(8, a1, a2, convention)
+        ref = Reference(curve)
+        points = [Fraction(0), Fraction(3, 7), curve.a1[2], curve.a2[5]]
+        for eps in (1, 2):
+            for i in range(1, 8):
+                poly = ref.alpha(i, eps)
+                jets = (poly, poly.diff(), poly.diff().diff())
+                for x in points:
+                    assert curve.alpha_jet(i, eps, x) == tuple(evaluate(p, x) for p in jets)
+
+
+def fraction_jet(curve, i, eps, x):
+    """Reference for `alpha_jet`: the product rule over Fractions, one step per factor."""
+    delta, c = curve.coeff_pair(i, eps)
+    q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
+    for s, root in enumerate(curve.params(eps), start=1):
+        if s != i:
+            d = x - root
+            q, dq, ddq = q * d, dq * d + q, ddq * d + 2 * dq
+    lin = delta * x - c
+    return q * lin, dq * lin + q * delta, ddq * lin + 2 * dq * delta
+
+
+def assert_jets_match(curve, eps, points):
+    for i in range(1, curve.genus):
+        for x in points:
+            assert curve.alpha_jet(i, eps, x) == fraction_jet(curve, i, eps, x), (i, eps, x)
+
+
+@st.composite
+def random_curves(draw):
+    """Genus 3..30, either convention, rows of distinct nonzero rationals, and
+    a parameter index h."""
+    g = draw(st.integers(3, 30))
+    entry = st.builds(Fraction, st.integers(-900, 900).filter(bool), st.integers(1, 30))
+    row = st.lists(entry, min_size=g - 1, max_size=g - 1, unique=True)
+    curve = build_curve(g, draw(row), draw(row), draw(st.sampled_from(["paper", "script"])))
+    return curve, draw(st.integers(1, g - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_curves(), st.fractions(min_value=-60, max_value=60, max_denominator=30))
+def test_alpha_jet_matches_fraction_recurrence(curve_and_h, x):
+    # a_h is a zero factor for i != h and the skipped factor for i = h
+    curve, h = curve_and_h
     for eps in (1, 2):
-        for i in range(1, 8):
-            poly = ref.alpha(i, eps)
-            jets = (poly, poly.diff(), poly.diff().diff())
-            for x in points:
-                assert curve.alpha_jet(i, eps, x) == tuple(evaluate(p, x) for p in jets)
+        assert_jets_match(curve, eps, (curve.params(eps)[h - 1], Fraction(0), x))
+
+
+@pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7)])
+@pytest.mark.parametrize("g", [13, 14, 41, 100])
+def test_alpha_jet_matches_fraction_recurrence_at_family_node(g, a):
+    curve = family_curve(g, a)
+    r = projection_node_index(g)
+    for eps in (1, 2):
+        assert_jets_match(curve, eps, [curve.node_parameter(eps, r)])
 
 
 @pytest.mark.parametrize("i", [0, 5, -1])
