@@ -141,15 +141,17 @@ def build_curve(genus: int, a1: Sequence[RationalLike], a2: Sequence[RationalLik
         vals = [parse_rational(x) for x in row]
         if len(vals) != genus - 1:
             raise ParameterError(f"{name} must have {genus - 1} entries for genus {genus}, got {len(vals)}")
-        seen: dict[Fraction, int] = {}
+        # keyed on the canonical (numerator, denominator): no Fraction hash
+        seen: dict[tuple[int, int], int] = {}
         for idx, v in enumerate(vals, start=1):
             if v == 0:
                 raise ParameterError(f"{name}[{idx}] is zero; all parameters must be nonzero")
-            if v in seen:
+            key = (v.numerator, v.denominator)
+            if key in seen:
                 raise ParameterError(
-                    f"{name}[{seen[v]}] and {name}[{idx}] are both {format_rational(v)}; "
+                    f"{name}[{seen[key]}] and {name}[{idx}] are both {format_rational(v)}; "
                     f"parameters must be pairwise distinct within a component")
-            seen[v] = idx
+            seen[key] = idx
         rows[name] = tuple(vals)
     return PrymBinaryCurve(genus, rows["a1"], rows["a2"], convention)
 

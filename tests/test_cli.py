@@ -320,6 +320,11 @@ GOLDEN_STDOUT_SHA256 = {
         "03087ba6154315a4c09750dd322797dd6682ec80dd47b4c4d2f13ef91bf5b8dd",
     "rank --genus 9 --seed 3 --policy exact":
         "7d23f66358f895152a183476152334d68cc841a6a92ceb60e98c082eabb32b10",
+    # pinned on the modular elimination that updated every row below each pivot
+    "sweep --g-min 13 --g-max 60":
+        "982e14c340625dbcc0e27964ea2b18922f67c132e9fbc424f5b9882ae934865b",
+    "rank --genus 100":
+        "d64dcd43a4c15009c62887648dcd8c6ebfc1e7dabdf015d37d54f023c44e2197",
     # pinned on the polynomial (Wronskian) 5x5 block that preceded alpha jets
     "induction --g-min 13 --g-max 20":
         "7f323fe4b63bc40d3c4903bab155db05b9d8ce5c524395d5144e9a47c7be5585",

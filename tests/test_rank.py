@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -411,6 +412,85 @@ def test_bareiss_stops_at_the_last_pivot():
     rank, pivot, sign = rank_module._bareiss(rows)
     assert (rank, sign * pivot) == (3, -34)             # full row rank; det of the head
     assert (rank, pivot, sign) == right_looking_bareiss([row + [9, -4] for row in head])
+
+
+# -- the modular elimination kernel -------------------------------------
+
+def reference_rank_mod_p(rows, p):
+    """Independent oracle: plain Gaussian elimination over Z/p, row by row."""
+    m = [[x % p for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] * inv % p
+            if f:
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def kernel_rank(rows, p=P):
+    return rank_module._echelon_rank(np.array(rows, dtype=np.int64), p)
+
+
+residues = st.just(0) | st.just(1) | st.just(P - 1) | st.integers(0, P - 1)
+
+
+@st.composite
+def residue_arrays(draw):
+    """Tall, square and wide arrays of residues mod P, zeros favoured."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return draw(st.lists(st.lists(residues, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+def products(nrows, ncols, r):
+    """U.V mod P for random U (nrows x r) and V (r x ncols): rank at most r."""
+    def mul(u, v):
+        return [[sum(row[t] * v[t][j] for t in range(r)) % P for j in range(ncols)]
+                for row in u]
+    return st.builds(
+        mul,
+        st.lists(st.lists(residues, min_size=r, max_size=r), min_size=nrows, max_size=nrows),
+        st.lists(st.lists(residues, min_size=ncols, max_size=ncols), min_size=r, max_size=r))
+
+
+@st.composite
+def low_rank_products(draw):
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return draw(products(nrows, ncols, draw(st.integers(0, min(nrows, ncols)))))
+
+
+@st.composite
+def deficient_prefix_arrays(draw):
+    """Tall arrays of full column rank whose first ncols rows are deficient:
+    a square prefix of rank at most ncols - 1, then random rows and the unit
+    rows in a drawn order."""
+    ncols = draw(st.integers(1, 8))
+    prefix = draw(products(ncols, ncols, ncols - 1))
+    extra = draw(st.lists(st.lists(residues, min_size=ncols, max_size=ncols), max_size=4))
+    units = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return prefix + draw(st.permutations(extra + units))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_arrays() | low_rank_products() | deficient_prefix_arrays())
+def test_echelon_rank_matches_the_reference(rows):
+    assert kernel_rank(rows) == reference_rank_mod_p(rows, P)
+
+
+def test_echelon_rank_deficient_prefix_example():
+    # the first three rows have rank 2 (row 2 is twice row 1); the fourth
+    # row completes the rank
+    rows = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_rank(rows[:3]) == 2
+    assert kernel_rank(rows) == reference_rank_mod_p(rows, P) == 3
 
 
 # -- modular-first certification of curves -----------------------------
