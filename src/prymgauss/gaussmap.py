@@ -17,8 +17,9 @@ splits into a polynomial part and a torsion part:
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
 (ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at P_1..P_g,
-tau at P_{g+1}.  `assemble_matrix` works over the integer coordinates of
-`curves._cleared_alphas`: with alpha_i = P_i/den per component,
+tau at P_{g+1}.  `_cleared_rows` works over the integer coordinates of
+`curves._cleared_alphas`, and `assemble_matrix` divides its integer rows by
+one fixed denominator per column: with alpha_i = P_i/den per component,
 nu_{ij} = (P_i P_j' - P_j P_i')/den^2, alpha_i' at a node n/m is P_i' by
 integer Horner homogenised by m^(g-2), over m^(g-2) den, and the slope at
 P_{g+1} is P_i's coefficient of degree g-2 over den.
@@ -136,22 +137,26 @@ class GaussMatrix:
         return column_layout(self.genus)
 
 
-def _wronskian(p: list[int], dp: list[int], q: list[int], dq: list[int], width: int) -> list[int]:
+def _wronskian(p: list[int], q: list[int], width: int) -> list[int]:
     """Coefficients of p q' - q p' in degrees 0..width-1; ValueError if one
-    of higher degree is nonzero (never a silent truncation)."""
-    out = [0] * (len(p) + len(dq) - 1)
-    for a, (pa, qa) in enumerate(zip(p, q)):
-        if pa or qa:
-            for b, (dqb, dpb) in enumerate(zip(dq, dp), start=a):
-                out[b] += pa * dqb - qa * dpb
+    of higher degree is nonzero (never a silent truncation).  The terms
+    pair up: p q' - q p' = sum over a < c of (c - a)(p_a q_c - p_c q_a)
+    t^(a+c-1), for p and q of equal length."""
+    out = [0] * (2 * len(p) - 2)
+    for c in range(1, len(p)):
+        pc, qc = p[c], q[c]
+        for a in range(c):
+            out[a + c - 1] += (c - a) * (p[a] * qc - pc * q[a])
     if any(out[width:]):
         raise ValueError(f"nu has a nonzero coefficient above degree {width - 1}")
     return out[:width]
 
 
-def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
-    """Fill every row over cleared integers, one Fraction per cell (see the
-    module docstring)."""
+def _cleared_rows(curve: PrymBinaryCurve) -> tuple[list[list[int]], list[int]]:
+    """(rows, column_dens): the integer numerators of every row, unreduced,
+    and each column's fixed denominator, so that the matrix of
+    `assemble_matrix` is rows[r][c] / column_dens[c] (see the module
+    docstring)."""
     g = curve.genus
     width = 2 * g - 3
     comps = []
@@ -159,23 +164,28 @@ def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
         polys, den = _cleared_alphas(curve, eps)
         derivs = [[d * c for d, c in enumerate(poly)][1:] for poly in polys]
         nodes = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1)]
-        comps.append((polys, derivs, den,
+        comps.append((polys, den,
                       [[_homogeneous_value(dp, n, m) for n, m in nodes] for dp in derivs],
                       [den * m ** (g - 2) for _, m in nodes]))
-    (p1, d1, den1, v1, n1), (p2, d2, den2, v2, n2) = comps
+    (p1, den1, v1, n1), (p2, den2, v2, n2) = comps
     tau_dens = [x * y for x, y in zip(n1, n2)]
     rows = []
     for i, j in row_pairs(g):
         i, j = i - 1, j - 1
-        row = [Fraction(x, den1 * den1) for x in _wronskian(p1[i], d1[i], p1[j], d1[j], width)]
-        row += [Fraction(x, den2 * den2) for x in _wronskian(p2[i], d2[i], p2[j], d2[j], width)]
+        row = _wronskian(p1[i], p1[j], width)
+        row += _wronskian(p2[i], p2[j], width)
         # tau(i, j) = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2}.
-        row += [Fraction(a * b - c * d, den)
-                for a, b, c, d, den in zip(v1[j], v2[i], v1[i], v2[j], tau_dens)]
-        row.append(Fraction(p1[j][g - 2] * p2[i][g - 2] - p1[i][g - 2] * p2[j][g - 2],
-                            den1 * den2))
-        rows.append(tuple(row))
-    return GaussMatrix(genus=g, convention=curve.convention, entries=tuple(rows))
+        row += [a * b - c * d for a, b, c, d in zip(v1[j], v2[i], v1[i], v2[j])]
+        row.append(p1[j][g - 2] * p2[i][g - 2] - p1[i][g - 2] * p2[j][g - 2])
+        rows.append(row)
+    return rows, [den1 * den1] * width + [den2 * den2] * width + tau_dens + [den1 * den2]
+
+
+def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
+    """The rational matrix: one Fraction per cell of `_cleared_rows`."""
+    rows, dens = _cleared_rows(curve)
+    entries = tuple(tuple(map(Fraction, row, dens)) for row in rows)
+    return GaussMatrix(genus=curve.genus, convention=curve.convention, entries=entries)
 
 
 # -- modular image ------------------------------------------------------
@@ -264,11 +274,13 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
 # -- serialization ------------------------------------------------------
 #
 # JSON: {"genus", "convention", "layout", "rows": [[rational strings]]}.
-# Binary (consumed by the rank engine): the header "PGMX" + version byte 1,
-# then genus, convention flag (0 = paper, 1 = script), row count and column
-# count as little-endian uint32, then every cell in row-major order as a
-# uint32 length prefix followed by that many ASCII bytes of the "p" or
-# "p/q" decimal literal.  Both formats are stable.
+# Binary: the header "PGMX" + version byte 1, then genus, convention flag
+# (0 = paper, 1 = script), row count and column count as little-endian
+# uint32, then every cell in row-major order as a uint32 length prefix
+# followed by that many ASCII bytes of the "p" or "p/q" decimal literal.
+# Both formats are stable.  No command reads a matrix file:
+# `matrix_from_bytes` and `matrix_from_json` read them back for the tests
+# and the benchmark's round trips.
 
 _BIN_MAGIC = b"PGMX"
 _BIN_VERSION = 1

@@ -13,9 +13,10 @@ Two routes:
   only if that square prefix is rank-deficient (see `_echelon_rank`).
 
 * `rank_exact` — fraction-free (Bareiss) elimination over the integers.
-  Rows are cleared of denominators, then each column is divided by the gcd
-  of its entries; both are nonzero diagonal scalings, so the rank is
-  unchanged, and the primitive columns keep the minors Bareiss forms small.
+  Rows are cleared of denominators and divided by the gcd of their
+  entries, then each column is divided by the gcd of its entries; all are
+  nonzero diagonal scalings, so the rank is unchanged, and the primitive
+  rows and columns keep the minors Bareiss forms small.
   The columns are then sorted by the bit length of their largest entry
   (a column permutation, which leaves the rank unchanged too), so the
   elimination pivots on the small columns first.  The elimination is
@@ -38,10 +39,12 @@ fixes the prime sequence (offset into the fixed prime list).
 
 Given a curve rather than a matrix, `certify` is modular-first: at each
 prime it takes the image `gaussmap.assemble_mod_p`, which has the rank of
-the reduced rational matrix, and builds the rational matrix only when it is
-needed: for Bareiss (the exact policy or the fast policy's fallback), or
-at a prime where the curve's data does not reduce.  Primes used, skipped
-primes, ranks and methods are the same as for
+the reduced rational matrix, and builds the rational matrix only at a
+prime where the curve's data does not reduce.  Its Bareiss step (the exact
+policy or the fast policy's fallback) runs on the integer rows of
+`gaussmap._cleared_rows`: they are the rational matrix times the diagonal
+matrix of the column denominators, all nonzero, so they have its rank.
+Primes used, skipped primes, ranks and methods are the same as for
 `certify(assemble_matrix(curve))`.
 """
 
@@ -58,7 +61,7 @@ import numpy as np
 from .curves import PrymBinaryCurve
 from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators,
                     reduce_mod_p)
-from .gaussmap import assemble_matrix, assemble_mod_p, matrix_shape
+from .gaussmap import _cleared_rows, assemble_matrix, assemble_mod_p, matrix_shape
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -109,12 +112,18 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
 def rank_exact(matrix) -> int:
     """True rank over the rationals via fraction-free elimination.
 
-    Each row is cleared of denominators and each column divided by its
-    gcd; the columns are then ordered by the bit length of their largest
-    entry (stable), so that the elimination pivots on small columns first.
-    None of this changes the rank.
+    `matrix` is a GaussMatrix or a sequence of rational or integer rows.
+    Each row is cleared of denominators and divided by the gcd of its
+    entries, then each column is divided by its gcd; these are nonzero
+    diagonal scalings on either side, so the rank is unchanged.  The
+    columns are then ordered by the bit length of their largest entry
+    (stable), so that the elimination pivots on small columns first.
     """
-    rows = [clear_denominators(row)[0] for row in _entry_rows(matrix)]
+    rows = []
+    for row in _entry_rows(matrix):
+        ints = clear_denominators(row)[0]
+        d = math.gcd(*ints) or 1
+        rows.append([x // d for x in ints])
     cols = []
     for col in zip(*rows, strict=True):
         d = math.gcd(*col) or 1
@@ -263,21 +272,16 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         nrows, ncols = matrix_shape(genus)
     maxp = min(nrows, ncols)
 
-    def rational():
-        nonlocal matrix
-        if matrix is None:
-            matrix = assemble_matrix(curve)
-        return matrix
-
     def modular_rank(p: int) -> int:
+        nonlocal matrix
         if curve is not None:
             try:
-                image = assemble_mod_p(curve, p)
+                return _echelon_rank(assemble_mod_p(curve, p), p)
             except BadPrimeError:
-                pass        # the curve's data does not reduce: reduce the matrix
-            else:
-                return _echelon_rank(image, p)
-        return rank_mod_p(rational(), p)
+                # The curve's data does not reduce: reduce the rational matrix.
+                if matrix is None:
+                    matrix = assemble_matrix(curve)
+        return rank_mod_p(matrix, p)
 
     attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
     primes_used: list[int] = []
@@ -294,7 +298,7 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         if r == maxp:
             return RankCertificate(genus, r, maxp, True, "modular", tuple(primes_used),
                                    time.perf_counter() - start)
-    rank = rank_exact(rational())
+    rank = rank_exact(matrix if curve is None else _cleared_rows(curve)[0])
     if rank < best_modular:
         raise AssertionError(
             f"exact rank {rank} below a modular lower bound {best_modular}: arithmetic bug")

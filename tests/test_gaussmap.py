@@ -1,6 +1,7 @@
 """gauss-map: Wronskian blocks, closed forms, torsion values, assembly."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,19 @@ def wronskian(curve, i, j, h):
     """_wronskian of the cleared coordinates P_i, P_j of component h."""
     polys, _ = _cleared_alphas(curve, h)
     p, q = polys[i - 1], polys[j - 1]
-    return gaussmap._wronskian(p, derivative(p), q, derivative(q), 2 * curve.genus - 3)
+    return gaussmap._wronskian(p, q, 2 * curve.genus - 3)
+
+
+def test_wronskian_is_p_dq_minus_q_dp():
+    # the paired sum against the two products, on integer lists of equal length
+    rng = random.Random(0)
+    for n in range(2, 14):
+        p, q = ([rng.randint(-10**9, 10**9) for _ in range(n)] for _ in range(2))
+        direct = [0] * (2 * n - 2)
+        for a in range(n):
+            for b, (dq, dp) in enumerate(zip(derivative(q), derivative(p))):
+                direct[a + b] += p[a] * dq - q[a] * dp
+        assert gaussmap._wronskian(p, q, 2 * n - 3) == direct[:-1] and direct[-1] == 0
 
 
 def test_wronskian_of_equal_rows_is_zero(sym_curve):
@@ -332,17 +345,41 @@ def _oracle_curves():
                            id=f"shared-denominators-g8-{conv}")
 
 
+def check_cleared_rows(curve, matrix):
+    """`_cleared_rows` over its column denominators is `matrix`, entrywise.
+
+    One fixed denominator per column: den_1^2 on nu_1, den_2^2 on nu_2,
+    den_1 den_2 (m_1 m_2)^(g-2) at an interior node whose parameters have
+    denominators m_1, m_2, and den_1 den_2 at P_{g+1}.
+    """
+    g = curve.genus
+    rows, dens = gaussmap._cleared_rows(curve)
+    den1, den2 = (_cleared_alphas(curve, eps)[1] for eps in (1, 2))
+    nodes = [x.denominator * y.denominator for x, y in zip(curve.a1, curve.a2)] + [1]
+    width = 2 * g - 3
+    assert dens == ([den1 * den1] * width + [den2 * den2] * width
+                    + [den1 * den2 * m ** (g - 2) for m in nodes] + [den1 * den2])
+    assert len(rows) == matrix.rows and all(len(row) == matrix.cols for row in rows)
+    assert all(type(x) is int and x * e.denominator == e.numerator * d
+               for row, entries in zip(rows, matrix.entries)
+               for x, d, e in zip(row, dens, entries))
+
+
 @pytest.mark.parametrize("genus,a1,a2,convention", list(_oracle_curves()))
 def test_assembled_matrix_equals_the_entrywise_oracle(genus, a1, a2, convention):
     # a nu of too high a degree makes its row too long to compare equal
     curve = build_curve(genus, a1, a2, convention)
-    assert assemble_matrix(curve).entries == Reference(curve).entries()
+    matrix = assemble_matrix(curve)
+    assert matrix.entries == Reference(curve).entries()
+    check_cleared_rows(curve, matrix)
 
 
 @pytest.mark.parametrize("a", [2, Fraction(-5, 7)])
 def test_assembled_family_curve_equals_the_entrywise_oracle(a):
     curve = family_curve(13, a)
-    assert assemble_matrix(curve).entries == Reference(curve).entries()
+    matrix = assemble_matrix(curve)
+    assert matrix.entries == Reference(curve).entries()
+    check_cleared_rows(curve, matrix)
 
 
 def test_assemble_matrix_rejects_a_nu_above_degree_2g_minus_4(monkeypatch):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
-                       assemble_mod_p, build_curve, certify, matrix_checksum, rank_exact,
-                       rank_mod_p, reduce_mod_p, seeded_params)
+                       assemble_mod_p, build_curve, builtin_params, certify, matrix_checksum,
+                       rank_exact, rank_mod_p, reduce_mod_p, seeded_params)
 from prymgauss import rank as rank_module
 from prymgauss.exact import clear_denominators
 from prymgauss.induction import family_curve
@@ -540,3 +540,54 @@ def test_certify_curve_builds_no_rational_matrix_on_the_modular_route(monkeypatc
     a1, a2 = seeded_params(14, 1)
     cert = certify(build_curve(14, a1, a2), seed=1)
     assert cert.method == "modular" and cert.rank == 65 and cert.genus == 14
+
+
+def _special_strata():
+    for genus in range(7, 12):
+        a2 = seeded_params(genus, 0)[1]
+        yield pytest.param(build_curve(genus, [2 * x for x in a2], a2), 4 * genus - 14,
+                           id=f"twice-g{genus}")
+    for genus, rank in ((9, 27), (10, 33)):
+        a2 = seeded_params(genus, 0)[1]
+        yield pytest.param(build_curve(genus, [x * x for x in a2], a2), rank,
+                           id=f"squared-g{genus}")
+    yield pytest.param(family_curve(13, 2), 38, id="family-g13")
+
+
+@pytest.mark.parametrize("curve,rank", _special_strata())
+def test_certify_curve_equals_certify_matrix_on_special_strata(curve, rank):
+    # Bareiss on the cleared integer rows against Bareiss on the rational
+    # matrix: the same rank, method and primes under both policies
+    fast = same_certificate(curve)
+    assert fast["rank"] == rank and fast["method"] == "both" and len(fast["primes_used"]) == 3
+    exact = same_certificate(curve, policy="exact")
+    assert exact["rank"] == rank and exact["method"] == "bareiss" and exact["primes_used"] == []
+
+
+@pytest.mark.parametrize("genus", [11, 12])
+def test_certify_curve_on_proportional_parameter_rows(genus):
+    a2 = seeded_params(genus, 0)[1]
+    cert = certify(build_curve(genus, [2 * x for x in a2], a2))
+    assert cert.rank == 4 * genus - 14 and not cert.is_maximal
+    assert cert.method == "both" and cert.primes_used == FIELD_PRIMES[:3]
+
+
+def test_certify_curve_exact_policy_builds_no_rational_matrix_and_no_residue(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rational matrix or residues on the exact route")
+    for name in ("assemble_matrix", "reduce_mod_p", "_echelon_rank"):
+        monkeypatch.setattr(rank_module, name, refuse)
+    cert = certify(build_curve(8, *seeded_params(8, 2)), policy="exact")
+    assert cert.method == "bareiss" and cert.rank == 21 and cert.is_maximal
+    # 55x55 of full rank: every row and column of the cleared matrix counts
+    cert = certify(build_curve(12, *builtin_params(12)), policy="exact")
+    assert cert.method == "bareiss" and cert.rank == 55 and cert.is_maximal
+
+
+def test_certify_curve_builds_no_rational_matrix_on_the_fallback(monkeypatch):
+    def refuse(curve):
+        raise AssertionError("rational matrix assembled")
+    monkeypatch.setattr(rank_module, "assemble_matrix", refuse)
+    _, a2 = seeded_params(8, 0)
+    cert = certify(build_curve(8, [2 * x for x in a2], a2))
+    assert cert.method == "both" and cert.rank == 18 and len(cert.primes_used) == 3
