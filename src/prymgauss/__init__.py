@@ -6,8 +6,7 @@ __version__ = "1.0.0"
 
 from .exact import BadPrimeError, FIELD_PRIMES, format_rational, parse_rational, reduce_mod_p
 from .curves import (NodeCheckReport, ParameterError, PrymBinaryCurve, build_curve,
-                     node_check, node_table, project_node, projection_node_index,
-                     torsion_descriptor)
+                     node_check, node_table, project_node, projection_node_index)
 from .gaussmap import (GaussMatrix, assemble_matrix, assemble_mod_p, evaluation_points,
                        matrix_checksum, matrix_from_bytes, matrix_from_json, matrix_shape,
                        matrix_to_bytes, matrix_to_json, nu_closed_form, row_pairs)

@@ -93,11 +93,6 @@ class DivisorClass(_Combination):
     def to_json_dict(self) -> dict:
         return dict(zip(BASIS, (format_rational(c) for c in self.coefficients())))
 
-    def __str__(self) -> str:
-        names = ("L", "d'", "d''", "d^ram")
-        parts = [f"{format_rational(c)}*{n}" for c, n in zip(self.coefficients(), names) if c != 0]
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class SurfaceClassExpr(_Combination):

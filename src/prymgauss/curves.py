@@ -270,13 +270,3 @@ def project_node(curve: PrymBinaryCurve) -> PrymBinaryCurve:
     a2 = curve.a2[:r - 1] + curve.a2[r:]
     return build_curve(g - 1, a1, a2, curve.convention)
 
-
-def torsion_descriptor(curve: PrymBinaryCurve) -> tuple[int, ...]:
-    """Sign pattern (h_1..h_{g+1}) describing the 2-torsion gluing:
-    +1 for the first k nodes, -1 through P_g, +1 at P_{g+1}.
-
-    Recorded from the construction; this library does not recompute gluing
-    data.
-    """
-    g, k = curve.genus, curve.k
-    return tuple([1] * k + [-1] * (g - 1 - k) + [-1, 1])

@@ -3,8 +3,9 @@
 Scalars are arbitrary-precision rationals (`fractions.Fraction`), which are
 always stored in canonical form: positive denominator, gcd(|num|, den) = 1,
 zero as 0/1.  `parse_rational` and `format_rational` read and write them as
-"p" or "p/q" literals, and `clear_denominators` turns a rational row into
-integers over one denominator.  Everything here is side-effect free.
+"p" or "p/q" literals, and `clear_denominators` turns a rational matrix
+into integers over one denominator per column.  Everything here is
+side-effect free.
 
 A small prime-field layer supports modular rank bounds: `reduce_mod_p` is
 the one rational -> residue reduction, to int64 residues in [0, p).  The
@@ -137,10 +138,13 @@ def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(integers, lcm): the row times the lcm of its denominators.
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """(integers, column_dens): the matrix times the diagonal matrix of its
+    column denominators, each the lcm of the denominators in its column.
 
-    The integers are exact; an empty row gives ([], 1).
+    integers[r][c] / column_dens[c] is rows[r][c], exactly.  Raises
+    ValueError if the rows differ in length.
     """
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
+    dens = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows, strict=True)]
+    return [[x.numerator * (d // x.denominator) for x, d in zip(row, dens)]
+            for row in rows], dens

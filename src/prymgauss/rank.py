@@ -13,10 +13,11 @@ Two routes:
   only if that square prefix is rank-deficient (see `_echelon_rank`).
 
 * `rank_exact` — fraction-free (Bareiss) elimination over the integers.
-  Rows are cleared of denominators and divided by the gcd of their
-  entries, then each column is divided by the gcd of its entries; all are
-  nonzero diagonal scalings, so the rank is unchanged, and the primitive
-  rows and columns keep the minors Bareiss forms small.
+  The matrix is column-cleared of denominators (each column times the lcm
+  of its denominators), each row is divided by the gcd of its entries,
+  then each column by the gcd of its entries; all are nonzero diagonal
+  scalings, so the rank is unchanged, and the primitive rows and columns
+  keep the minors Bareiss forms small.
   The columns are then sorted by the bit length of their largest entry
   (a column permutation, which leaves the rank unchanged too), so the
   elimination pivots on the small columns first.  The elimination is
@@ -26,9 +27,9 @@ Two routes:
   columns) is never updated.  The pivot is chosen of minimal bit length to
   limit coefficient growth.  Intermediate divisions are exact by the
   Bareiss identity; the result is the true rational rank, with no modular
-  arithmetic.  `det_exact` runs the same elimination, on row-cleared input
-  in its own column order (the sign depends on it), for the determinant
-  of a small square matrix (the induction's 5x5 blocks).
+  arithmetic.  `det_exact` runs the same elimination, on column-cleared
+  input in its own column order (the sign depends on it), for the
+  determinant of a small square matrix (the induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries up to
 `MODULAR_ATTEMPTS` good primes and falls back to the exact path only when no
@@ -43,7 +44,8 @@ the reduced rational matrix, and builds the rational matrix only at a
 prime where the curve's data does not reduce.  Its Bareiss step (the exact
 policy or the fast policy's fallback) runs on the integer rows of
 `gaussmap._cleared_rows`: they are the rational matrix times the diagonal
-matrix of the column denominators, all nonzero, so they have its rank.
+matrix of the column denominators, all nonzero, so they have its rank (the
+form `clear_denominators` gives the matrix, up to a column scaling).
 Primes used, skipped primes, ranks and methods are the same as for
 `certify(assemble_matrix(curve))`.
 """
@@ -113,19 +115,19 @@ def rank_exact(matrix) -> int:
     """True rank over the rationals via fraction-free elimination.
 
     `matrix` is a GaussMatrix or a sequence of rational or integer rows.
-    Each row is cleared of denominators and divided by the gcd of its
-    entries, then each column is divided by its gcd; these are nonzero
-    diagonal scalings on either side, so the rank is unchanged.  The
-    columns are then ordered by the bit length of their largest entry
-    (stable), so that the elimination pivots on small columns first.
+    It is column-cleared of denominators (`clear_denominators`), each row
+    is divided by the gcd of its entries, then each column by its gcd;
+    these are nonzero diagonal scalings on either side, so the rank is
+    unchanged.  The columns are then ordered by the bit length of their
+    largest entry (stable), so that the elimination pivots on small
+    columns first.
     """
     rows = []
-    for row in _entry_rows(matrix):
-        ints = clear_denominators(row)[0]
-        d = math.gcd(*ints) or 1
-        rows.append([x // d for x in ints])
+    for row in clear_denominators(_entry_rows(matrix))[0]:
+        d = math.gcd(*row) or 1
+        rows.append([x // d for x in row])
     cols = []
-    for col in zip(*rows, strict=True):
+    for col in zip(*rows):
         d = math.gcd(*col) or 1
         cols.append([x // d for x in col])
     cols.sort(key=lambda col: max(x.bit_length() for x in col))
@@ -135,18 +137,18 @@ def rank_exact(matrix) -> int:
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square rational matrix, by the same elimination.
 
-    The last Bareiss pivot is the determinant of the cleared integer
+    The last Bareiss pivot is the determinant of the column-cleared integer
     matrix up to the sign of the row swaps; dividing by the product of the
-    row denominators gives the rational determinant.
+    column denominators gives the rational determinant.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    cleared = [clear_denominators(row) for row in rows]
-    rank, pivot, sign = _bareiss([ints for ints, _ in cleared])
+    ints, dens = clear_denominators(rows)
+    rank, pivot, sign = _bareiss(ints)
     if rank < n:
         return Fraction(0)
-    return Fraction(sign * pivot, math.prod(den for _, den in cleared))
+    return Fraction(sign * pivot, math.prod(dens))
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-"""curve-model: construction, node checks, projection, torsion pattern."""
+"""curve-model: construction, node checks, projection."""
 
 import math
 from fractions import Fraction
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymgauss import (ParameterError, build_curve, family_curve, node_check,
-                       node_table, project_node, projection_node_index, seeded_params,
-                       torsion_descriptor)
+                       node_table, project_node, projection_node_index, seeded_params)
 from prymgauss import curves, gaussmap
 from prymgauss.curves import _cleared_alphas, _homogeneous_value
 from sympy_reference import Reference, evaluate
@@ -178,22 +177,6 @@ def test_project_genus3_unsupported():
     c = build_curve(3, [1, 2], [3, 4])
     with pytest.raises(ParameterError):
         project_node(c)
-
-
-def test_torsion_descriptor_patterns():
-    a1, a2 = seeded_params(12, 1)
-    assert torsion_descriptor(build_curve(12, a1, a2)) == \
-        (1,) * 6 + (-1,) * 5 + (-1, 1)
-    c5 = build_curve(5, [1, 2, 3, 4], [2, 4, 6, 8])
-    assert torsion_descriptor(c5) == (1, 1, -1, -1, -1, 1)
-
-
-@pytest.mark.parametrize("g", [3, 5, 8, 12, 13, 20])
-def test_torsion_descriptor_count(g):
-    a1, a2 = seeded_params(g, 2)
-    desc = torsion_descriptor(build_curve(g, a1, a2))
-    assert len(desc) == g + 1
-    assert sum(1 for h in desc if h == 1) == g // 2 + 1
 
 
 def test_build_curve_builds_no_polynomial(monkeypatch):

@@ -71,12 +71,19 @@ def test_canonical_form_idempotent():
 # -- denominators ------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(rationals, max_size=8))
-def test_clear_denominators(row):
-    ints, den = clear_denominators(row)
-    assert [Fraction(n, den) for n in ints] == row
-    # a common factor of den and every integer would leave a smaller clearing
-    assert den > 0 and math.gcd(den, *ints) == 1
+@given(st.integers(0, 5).flatmap(
+    lambda ncols: st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=6)))
+def test_clear_denominators(rows):
+    ints, dens = clear_denominators(rows)
+    assert [[Fraction(n, d) for n, d in zip(row, dens, strict=True)] for row in ints] == rows
+    # a common factor of a column's den and its integers would leave a smaller clearing
+    assert len(dens) == (len(rows[0]) if rows else 0)
+    assert all(d > 0 and math.gcd(d, *col) == 1 for d, col in zip(dens, zip(*ints)))
+
+
+def test_clear_denominators_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        clear_denominators([[Fraction(1, 2), Fraction(1)], [Fraction(3)]])
 
 
 # -- prime field --------------------------------------------------------

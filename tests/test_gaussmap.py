@@ -15,6 +15,7 @@ from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix
                        reduce_mod_p, row_pairs, seeded_params)
 from prymgauss import gaussmap
 from prymgauss.curves import CONVENTIONS, _cleared_alphas
+from prymgauss.exact import clear_denominators
 from sympy_reference import Reference
 
 # Frozen values below were computed with an independent symbolic
@@ -346,7 +347,8 @@ def _oracle_curves():
 
 
 def check_cleared_rows(curve, matrix):
-    """`_cleared_rows` over its column denominators is `matrix`, entrywise.
+    """`_cleared_rows` over its column denominators is `matrix`, entrywise,
+    and differs from `clear_denominators(matrix.entries)` by a column scaling.
 
     One fixed denominator per column: den_1^2 on nu_1, den_2^2 on nu_2,
     den_1 den_2 (m_1 m_2)^(g-2) at an interior node whose parameters have
@@ -363,6 +365,13 @@ def check_cleared_rows(curve, matrix):
     assert all(type(x) is int and x * e.denominator == e.numerator * d
                for row, entries in zip(rows, matrix.entries)
                for x, d, e in zip(row, dens, entries))
+    # the matrix's own column clearing is the same form up to a column
+    # scaling: each lcm L_c divides the fixed D_c, and N' D_c = N L_c
+    ints, lcms = clear_denominators(matrix.entries)
+    assert all(d % m == 0 for d, m in zip(dens, lcms, strict=True))
+    assert all(y * d == x * m
+               for row, cleared in zip(rows, ints, strict=True)
+               for x, y, d, m in zip(row, cleared, dens, lcms, strict=True))
 
 
 @pytest.mark.parametrize("genus,a1,a2,convention", list(_oracle_curves()))

@@ -281,7 +281,7 @@ def test_rank_exact_on_proportional_parameter_rows(genus):
     # a1 = 2 * a2 with a seeded rational a2: rank 4g - 14, not maximal
     a2 = seeded_params(genus, 0)[1]
     m = assemble_matrix(build_curve(genus, [2 * x for x in a2], a2))
-    unscaled = rank_module._bareiss([clear_denominators(row)[0] for row in m.entries])[0]
+    unscaled = rank_module._bareiss(clear_denominators(m.entries)[0])[0]
     assert rank_exact(m) == unscaled == 4 * genus - 14
 
 
@@ -516,6 +516,17 @@ def test_certify_curve_falls_back_to_rational_reduction_at_a_bad_prime():
     curve = build_curve(5, [Fraction(1, P), 2, 3, 4], [5, -7, Fraction(1, 2), 9])
     cert = same_certificate(curve, seed=0)
     assert cert["primes_used"] == [FIELD_PRIMES[1]]
+
+
+def test_certify_curve_reduces_the_rational_matrix_where_the_curve_data_does_not():
+    # a2_1 = 3/P: the curve's data does not reduce mod P, but no entry of the
+    # rational matrix has P in its denominator, so P still certifies
+    curve = build_curve(3, [1, 2], [Fraction(3, P), 5])
+    with pytest.raises(BadPrimeError):
+        assemble_mod_p(curve, P)
+    assert reduce_mod_p(assemble_matrix(curve), P).shape == (1, 10)
+    cert = same_certificate(curve, seed=0)
+    assert cert["rank"] == 1 and cert["method"] == "modular" and cert["primes_used"] == [P]
 
 
 def test_certify_curve_lazy_bareiss_fallback():
