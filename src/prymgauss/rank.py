@@ -1,6 +1,7 @@
 """Exact rank certification for Gaussian-map matrices.
 
-Two routes:
+Both rank steps take a curve, a GaussMatrix or a sequence of rational
+rows; given a curve, they build its rational matrix only where they must.
 
 * `rank_mod_p` — row echelon over a word-sized prime field.  This is a sound
   *lower* bound for the rational rank (reduction can only collapse rows), so
@@ -14,10 +15,11 @@ Two routes:
 
 * `rank_exact` — fraction-free (Bareiss) elimination over the integers.
   The matrix is column-cleared of denominators (each column times the lcm
-  of its denominators), each row is divided by the gcd of its entries,
-  then each column by the gcd of its entries; all are nonzero diagonal
-  scalings, so the rank is unchanged, and the primitive rows and columns
-  keep the minors Bareiss forms small.
+  of its denominators; a curve's `gaussmap._cleared_rows` are already of
+  that form), each row is divided by the gcd of its entries, then each
+  column by the gcd of its entries; all are nonzero diagonal scalings, so
+  the rank is unchanged, and the primitive rows and columns keep the
+  minors Bareiss forms small.
   The columns are then sorted by the bit length of their largest entry
   (a column permutation, which leaves the rank unchanged too), so the
   elimination pivots on the small columns first.  The elimination is
@@ -36,18 +38,8 @@ Two routes:
 modular run reaches the maximum; "exact" is the same loop with no modular
 attempt, so it goes straight to Bareiss.  Runs are sequential, so
 certificates are identical no matter how callers schedule them; the seed
-fixes the prime sequence (offset into the fixed prime list).
-
-Given a curve rather than a matrix, `certify` is modular-first: at each
-prime it takes the image `gaussmap.assemble_mod_p`, which has the rank of
-the reduced rational matrix, and builds the rational matrix only at a
-prime where the curve's data does not reduce.  Its Bareiss step (the exact
-policy or the fast policy's fallback) runs on the integer rows of
-`gaussmap._cleared_rows`: they are the rational matrix times the diagonal
-matrix of the column denominators, all nonzero, so they have its rank (the
-form `clear_denominators` gives the matrix, up to a column scaling).
-Primes used, skipped primes, ranks and methods are the same as for
-`certify(assemble_matrix(curve))`.
+fixes the prime sequence (offset into the fixed prime list).  A curve and
+its matrix have the same ranks, so they get the same certificate.
 """
 
 from __future__ import annotations
@@ -66,13 +58,23 @@ from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators
 from .gaussmap import _cleared_rows, assemble_matrix, assemble_mod_p, matrix_shape
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank of the matrix reduced mod p.
+def rank_mod_p(source, p: int) -> int:
+    """Rank of the Gaussian-map matrix reduced mod p.
 
-    Raises BadPrimeError if p divides any entry denominator, in which case
-    the caller should retry with the next prime.
+    `source` is a curve, a GaussMatrix or a sequence of rational rows.  A
+    curve's image mod p is `gaussmap.assemble_mod_p`, which has the rank of
+    the reduced rational matrix; only where the curve's data does not
+    reduce mod p is its rational matrix built and reduced instead.
+
+    Raises BadPrimeError if p divides an entry denominator of the matrix,
+    in which case the caller should retry with the next prime.
     """
-    return _echelon_rank(reduce_mod_p(matrix, p), p)
+    if isinstance(source, PrymBinaryCurve):
+        try:
+            return _echelon_rank(assemble_mod_p(source, p), p)
+        except BadPrimeError:
+            source = assemble_matrix(source)
+    return _echelon_rank(reduce_mod_p(source, p), p)
 
 
 def _echelon_rank(arr: np.ndarray, p: int) -> int:
@@ -111,19 +113,25 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_exact(matrix) -> int:
+def rank_exact(source) -> int:
     """True rank over the rationals via fraction-free elimination.
 
-    `matrix` is a GaussMatrix or a sequence of rational or integer rows.
-    It is column-cleared of denominators (`clear_denominators`), each row
-    is divided by the gcd of its entries, then each column by its gcd;
-    these are nonzero diagonal scalings on either side, so the rank is
-    unchanged.  The columns are then ordered by the bit length of their
-    largest entry (stable), so that the elimination pivots on small
+    `source` is a curve, a GaussMatrix or a sequence of rational or integer
+    rows.  A curve's integers are the rows of `gaussmap._cleared_rows`, its
+    rational matrix times the diagonal of its nonzero column denominators;
+    a matrix is column-cleared of denominators (`clear_denominators`).
+    Each row is then divided by the gcd of its entries, then each column by
+    its gcd; these are nonzero diagonal scalings on either side, so the
+    rank is unchanged.  The columns are then ordered by the bit length of
+    their largest entry (stable), so that the elimination pivots on small
     columns first.
     """
+    if isinstance(source, PrymBinaryCurve):
+        ints = _cleared_rows(source)[0]
+    else:
+        ints = clear_denominators(_entry_rows(source))[0]
     rows = []
-    for row in clear_denominators(_entry_rows(matrix))[0]:
+    for row in ints:
         d = math.gcd(*row) or 1
         rows.append([x // d for x in row])
     cols = []
@@ -250,8 +258,9 @@ MODULAR_ATTEMPTS = 3
 def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     """Certify the rank with the strongest sound claim.
 
-    `source` is a curve (modular-first, see the module docstring), a
-    GaussMatrix, or a sequence of rational rows.
+    `source` is a curve, a GaussMatrix, or a sequence of rational rows; it
+    is passed as it is to `rank_mod_p` and `rank_exact`, so a curve is
+    certified without its rational matrix (see the module docstring).
 
     fast:  run modular ranks at up to MODULAR_ATTEMPTS good primes; the
            first one equal to min(rows, cols) certifies maximality.  If none
@@ -261,30 +270,14 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     if policy not in ("fast", "exact"):
         raise ValueError(f"policy must be 'fast' or 'exact', got {policy!r}")
     start = time.perf_counter()
-    curve = source if isinstance(source, PrymBinaryCurve) else None
-    if curve is None:
-        matrix = source
-        rows = _entry_rows(matrix)
-        genus = getattr(matrix, "genus", None)
+    if isinstance(source, PrymBinaryCurve):
+        nrows, ncols = matrix_shape(source.genus)
+    else:
+        rows = _entry_rows(source)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-    else:
-        matrix = None
-        genus = curve.genus
-        nrows, ncols = matrix_shape(genus)
+    genus = getattr(source, "genus", None)
     maxp = min(nrows, ncols)
-
-    def modular_rank(p: int) -> int:
-        nonlocal matrix
-        if curve is not None:
-            try:
-                return _echelon_rank(assemble_mod_p(curve, p), p)
-            except BadPrimeError:
-                # The curve's data does not reduce: reduce the rational matrix.
-                if matrix is None:
-                    matrix = assemble_matrix(curve)
-        return rank_mod_p(matrix, p)
-
     attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
     primes_used: list[int] = []
     best_modular = 0
@@ -292,7 +285,7 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         if len(primes_used) >= attempts:
             break
         try:
-            r = modular_rank(p)
+            r = rank_mod_p(source, p)
         except BadPrimeError:
             continue
         primes_used.append(p)
@@ -300,7 +293,7 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         if r == maxp:
             return RankCertificate(genus, r, maxp, True, "modular", tuple(primes_used),
                                    time.perf_counter() - start)
-    rank = rank_exact(matrix if curve is None else _cleared_rows(curve)[0])
+    rank = rank_exact(source)
     if rank < best_modular:
         raise AssertionError(
             f"exact rank {rank} below a modular lower bound {best_modular}: arithmetic bug")

@@ -26,13 +26,24 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed{suffix}"
 
 
+def certify_both_routes(curve, seed: int = 0):
+    """The certificate of the curve (the route `rank` and `sweep` take) and
+    of its rational matrix, which must agree in rank, method and primes."""
+    matrix = assemble_matrix(curve)
+    cert = certify(curve, seed=seed)
+    from_matrix = certify(matrix, seed=seed)
+    assert (cert.rank, cert.method, cert.primes_used) == \
+           (from_matrix.rank, from_matrix.method, from_matrix.primes_used), (cert, from_matrix)
+    return matrix, cert
+
+
 def test_criterion_1_script_replication():
     expected = {4: 3, 5: 6, 6: 10, 7: 15, 8: 21, 9: 28, 10: 36, 11: 45, 12: 55}
     start = time.perf_counter()
     got = {}
     for genus in range(4, 13):
         a1, a2 = builtin_params(genus)
-        cert = certify(assemble_matrix(build_curve(genus, a1, a2, "script")))
+        _, cert = certify_both_routes(build_curve(genus, a1, a2, "script"))
         got[genus] = cert.rank
         assert cert.is_maximal, f"genus {genus} not certified maximal"
         assert cert.rank == min((genus - 1) * (genus - 2) // 2, 5 * genus - 5)
@@ -48,8 +59,7 @@ def test_criterion_2_genus12_bijectivity():
     for seed in seeds:
         start = time.perf_counter()
         a1, a2 = seeded_params(12, seed)
-        matrix = assemble_matrix(build_curve(12, a1, a2, "paper"))
-        cert = certify(matrix, seed=seed)
+        matrix, cert = certify_both_routes(build_curve(12, a1, a2, "paper"), seed)
         times.append(time.perf_counter() - start)
         assert matrix.rows == matrix.cols == 55
         assert cert.rank == 55 and cert.is_maximal, f"seed {seed}: {cert}"
@@ -63,7 +73,7 @@ def test_criterion_3_surjectivity_band():
     for genus in range(13, 21):
         for seed in (7, 8):
             a1, a2 = seeded_params(genus, sweep_seed(seed, genus))
-            cert = certify(assemble_matrix(build_curve(genus, a1, a2, "paper")), seed=seed)
+            _, cert = certify_both_routes(build_curve(genus, a1, a2, "paper"), seed)
             assert cert.rank == 5 * genus - 5, f"g={genus} seed={seed}: {cert}"
             assert cert.method == "modular", "expected the modular-maximality shortcut"
     elapsed = time.perf_counter() - start
@@ -76,7 +86,7 @@ def test_criterion_4_injectivity_band():
     for genus in range(5, 12):
         for seed in (7, 8):
             a1, a2 = seeded_params(genus, sweep_seed(seed, genus))
-            cert = certify(assemble_matrix(build_curve(genus, a1, a2, "paper")), seed=seed)
+            _, cert = certify_both_routes(build_curve(genus, a1, a2, "paper"), seed)
             assert cert.rank == (genus - 1) * (genus - 2) // 2, f"g={genus} seed={seed}: {cert}"
             assert cert.is_maximal
     elapsed = time.perf_counter() - start
@@ -138,11 +148,12 @@ def test_criterion_8_rank_engine_soundness():
     for genus in (5, 6, 7, 8, 9):
         for seed in range(10):
             a1, a2 = seeded_params(genus, 1000 + seed)
-            matrix = assemble_matrix(build_curve(genus, a1, a2, "paper"))
+            curve = build_curve(genus, a1, a2, "paper")
+            matrix = assemble_matrix(curve)
             exact = rank_exact(matrix)
             maxp = min(matrix.rows, matrix.cols)
             for p in FIELD_PRIMES[seed % 5:seed % 5 + 2]:
-                assert rank_mod_p(matrix, p) <= exact <= maxp
+                assert rank_mod_p(curve, p) == rank_mod_p(matrix, p) <= exact <= maxp
             count += 1
     assert count == 50
 

@@ -222,9 +222,11 @@ def test_matrix_export_prints_entries_longer_than_the_int_string_limit(capsys, t
 
 
 def test_induction_rejects_bad_a(capsys):
-    code, _, err = run_cli(capsys, "induction", "--g-min", "13", "--g-max", "13",
-                           "--a", "1")
-    assert code == 2
+    for a in ("1", "0"):
+        code, out, err = run_cli(capsys, "induction", "--g-min", "13", "--g-max", "13",
+                                 "--a", a)
+        assert code == 2 and out == ""
+        assert "avoid 0 and 1" in err
 
 
 def test_classes_cli(capsys):

@@ -296,9 +296,10 @@ def test_rank_exact_on_squared_parameter_rows(genus, rank):
 def test_rank_exact_on_the_induction_family_curve():
     # det5 != 0 on this curve is a claim about one 5x5 block; the full
     # Gaussian map of the curve is far from its maximum of 60
-    m = assemble_matrix(family_curve(13, 2))
+    curve = family_curve(13, 2)
+    m = assemble_matrix(curve)
     assert (m.rows, m.cols) == (66, 60)
-    assert rank_exact(m) == 38 == 4 * 13 - 14
+    assert rank_exact(m) == rank_exact(curve) == 38 == 4 * 13 - 14
 
 
 def test_rank_exact_reads_no_residue(monkeypatch):
@@ -495,25 +496,45 @@ def test_echelon_rank_deficient_prefix_example():
 
 # -- modular-first certification of curves -----------------------------
 
+def ranks_mod_p(source):
+    """rank_mod_p at the first three primes, None where the prime is bad."""
+    ranks = []
+    for p in FIELD_PRIMES[:3]:
+        try:
+            ranks.append(rank_mod_p(source, p))
+        except BadPrimeError:
+            ranks.append(None)
+    return ranks
+
+
 def same_certificate(curve, **kwargs):
+    matrix = assemble_matrix(curve)
     from_curve = certify(curve, **kwargs).to_json_dict(with_timing=False)
-    from_matrix = certify(assemble_matrix(curve), **kwargs).to_json_dict(with_timing=False)
+    from_matrix = certify(matrix, **kwargs).to_json_dict(with_timing=False)
     assert from_curve == from_matrix
+    assert ranks_mod_p(curve) == ranks_mod_p(matrix)
     return from_curve
 
 
-@pytest.mark.parametrize("genus,seed", [(4, 0), (7, 3), (11, 5), (12, 1), (13, 2), (16, 9)])
+@pytest.mark.parametrize("genus,seed", [
+    (3, 1), (4, 0), (5, 2), (6, 4), (7, 3), (8, 6), (9, 7), (10, 8), (11, 5), (12, 1),
+    (13, 2), (14, 3), (15, 4), (16, 9), (17, 5), (18, 6), (19, 7), (20, 8), (21, 9)])
 def test_certify_curve_equals_certify_matrix(genus, seed):
     a1, a2 = seeded_params(genus, seed)
     for convention in ("paper", "script"):
-        cert = same_certificate(build_curve(genus, a1, a2, convention), seed=seed)
+        curve = build_curve(genus, a1, a2, convention)
+        cert = same_certificate(curve, seed=seed)
         assert cert["method"] == "modular" and cert["is_maximal"]
+        if genus <= 10:
+            assert rank_exact(curve) == rank_exact(assemble_matrix(curve)) == cert["rank"]
 
 
 def test_certify_curve_falls_back_to_rational_reduction_at_a_bad_prime():
     # a1_1 has denominator P: the curve's data does not reduce mod P, so P
     # goes through the rational matrix, which P also fails to reduce.
     curve = build_curve(5, [Fraction(1, P), 2, 3, 4], [5, -7, Fraction(1, 2), 9])
+    with pytest.raises(BadPrimeError):
+        rank_mod_p(curve, P)
     cert = same_certificate(curve, seed=0)
     assert cert["primes_used"] == [FIELD_PRIMES[1]]
 
@@ -525,6 +546,7 @@ def test_certify_curve_reduces_the_rational_matrix_where_the_curve_data_does_not
     with pytest.raises(BadPrimeError):
         assemble_mod_p(curve, P)
     assert reduce_mod_p(assemble_matrix(curve), P).shape == (1, 10)
+    assert rank_mod_p(curve, P) == 1 == rank_mod_p(assemble_matrix(curve), P)
     cert = same_certificate(curve, seed=0)
     assert cert["rank"] == 1 and cert["method"] == "modular" and cert["primes_used"] == [P]
 
@@ -573,6 +595,7 @@ def test_certify_curve_equals_certify_matrix_on_special_strata(curve, rank):
     assert fast["rank"] == rank and fast["method"] == "both" and len(fast["primes_used"]) == 3
     exact = same_certificate(curve, policy="exact")
     assert exact["rank"] == rank and exact["method"] == "bareiss" and exact["primes_used"] == []
+    assert rank_exact(curve) == rank
 
 
 @pytest.mark.parametrize("genus", [11, 12])
@@ -584,9 +607,10 @@ def test_certify_curve_on_proportional_parameter_rows(genus):
 
 
 def test_certify_curve_exact_policy_builds_no_rational_matrix_and_no_residue(monkeypatch):
+    # nor clears the curve's integer rows again
     def refuse(*args):
-        raise AssertionError("rational matrix or residues on the exact route")
-    for name in ("assemble_matrix", "reduce_mod_p", "_echelon_rank"):
+        raise AssertionError("rational matrix, residues or clearing on the exact route")
+    for name in ("assemble_matrix", "reduce_mod_p", "_echelon_rank", "clear_denominators"):
         monkeypatch.setattr(rank_module, name, refuse)
     cert = certify(build_curve(8, *seeded_params(8, 2)), policy="exact")
     assert cert.method == "bareiss" and cert.rank == 21 and cert.is_maximal
@@ -602,3 +626,29 @@ def test_certify_curve_builds_no_rational_matrix_on_the_fallback(monkeypatch):
     _, a2 = seeded_params(8, 0)
     cert = certify(build_curve(8, [2 * x for x in a2], a2))
     assert cert.method == "both" and cert.rank == 18 and len(cert.primes_used) == 3
+
+
+def test_certify_calls_rank_mod_p_once_per_prime_tried(monkeypatch):
+    # Each prime certify tries on a curve is one rank_mod_p call, a skipped
+    # bad prime included, and the Bareiss step is one rank_exact call, so
+    # spans around the two count the curve route's work.
+    calls = []
+
+    def spy(name):
+        original = getattr(rank_module, name)
+
+        def wrapped(source, *args):
+            calls.append((name, type(source).__name__, *args))
+            return original(source, *args)
+        monkeypatch.setattr(rank_module, name, wrapped)
+    spy("rank_mod_p")
+    spy("rank_exact")
+    bad = build_curve(5, [Fraction(1, P), 2, 3, 4], [5, -7, Fraction(1, 2), 9])
+    assert certify(bad, seed=0).primes_used == (FIELD_PRIMES[1],)
+    assert calls == [("rank_mod_p", "PrymBinaryCurve", P),
+                     ("rank_mod_p", "PrymBinaryCurve", FIELD_PRIMES[1])]
+    calls.clear()
+    _, a2 = seeded_params(7, 0)
+    assert certify(build_curve(7, [2 * x for x in a2], a2)).method == "both"
+    assert calls == [("rank_mod_p", "PrymBinaryCurve", p) for p in FIELD_PRIMES[:3]] + \
+        [("rank_exact", "PrymBinaryCurve")]
