@@ -148,30 +148,21 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
                    target: Sequence[Sequence[int]]) -> bool | None:
     """Do nonzero row/column scalars exist with computed * r_p * c_q == target?
 
-    Scalars are solved from the first row and column (gauge r_0 = 1) and
-    verified everywhere.  A zero computed entry against a nonzero target is
-    an immediate False; an unsolvable gauge yields None (inconclusive).
+    False when the zero patterns differ; None (inconclusive) when the
+    first row or column of `computed` has a zero, since the gauge below
+    needs both.  Otherwise the scalars are solved from the first row and
+    column (gauge r_0 = 1) and the answer is whether they reproduce every
+    cell.
     """
     n = len(target)
-    for p in range(n):
-        for q in range(n):
-            if computed[p][q] == 0 and target[p][q] != 0:
-                return False
-            if computed[p][q] != 0 and target[p][q] == 0:
-                return False
-    try:
-        col_scale = [Fraction(target[0][q]) / computed[0][q] for q in range(n)]
-        row_scale = [Fraction(1)] + [
-            Fraction(target[p][0]) / (computed[p][0] * col_scale[0]) for p in range(1, n)]
-    except ZeroDivisionError:
+    cells = [(p, q) for p in range(n) for q in range(n)]
+    if any((computed[p][q] == 0) != (target[p][q] == 0) for p, q in cells):
+        return False
+    if 0 in computed[0] or any(row[0] == 0 for row in computed):
         return None
-    if any(s == 0 for s in col_scale) or any(s == 0 for s in row_scale):
-        return None
-    for p in range(n):
-        for q in range(n):
-            if computed[p][q] * row_scale[p] * col_scale[q] != target[p][q]:
-                return False
-    return True
+    col_scale = [Fraction(target[0][q]) / computed[0][q] for q in range(n)]
+    row_scale = [Fraction(target[p][0]) / (computed[p][0] * col_scale[0]) for p in range(n)]
+    return all(computed[p][q] * row_scale[p] * col_scale[q] == target[p][q] for p, q in cells)
 
 
 def check_scaled_matrix(submatrix: InductionSubmatrix) -> bool | None:
@@ -183,22 +174,16 @@ def check_scaled_matrix(submatrix: InductionSubmatrix) -> bool | None:
 
 def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
     """Closed form of tau at the projection node for the family parameters,
-    in the torsion order used by this package."""
+    in the torsion order used by this package: one integer product of the
+    squares, over (g-1)!, times a^(g-2)."""
     a = parse_rational(a)
     k = genus // 2
     if genus % 2 == 0:
-        excluded = (k - 1, k, k + 1)
-        center = k
-        lead = Fraction(-2 * k * (k + 1))
+        excluded, center, lead = (k - 1, k, k + 1), k, -2 * k * (k + 1)
     else:
-        excluded = (k - 1, k + 1, k + 2)
-        center = k + 1
-        lead = Fraction(-4 * (k + 1) * (k + 2))
-    prod = Fraction(1)
-    for l in range(1, genus):
-        if l not in excluded:
-            prod *= (center - l) ** 2
-    return lead * a ** (genus - 2) / math.factorial(genus - 1) * prod
+        excluded, center, lead = (k - 1, k + 1, k + 2), k + 1, -4 * (k + 1) * (k + 2)
+    squares = math.prod((center - l) ** 2 for l in range(1, genus) if l not in excluded)
+    return Fraction(lead * squares, math.factorial(genus - 1)) * a ** (genus - 2)
 
 
 def check_tau_closed_form(submatrix: InductionSubmatrix, closed: Fraction) -> bool:

@@ -29,9 +29,9 @@ rows; given a curve, they build its rational matrix only where they must.
   columns) is never updated.  The pivot is chosen of minimal bit length to
   limit coefficient growth.  Intermediate divisions are exact by the
   Bareiss identity; the result is the true rational rank, with no modular
-  arithmetic.  `det_exact` runs the same elimination, on column-cleared
-  input in its own column order (the sign depends on it), for the
-  determinant of a small square matrix (the induction's 5x5 blocks).
+  arithmetic.  `det_exact` runs the same elimination, without the sort (the
+  sign depends on the column order), on the column-cleared transpose, for
+  the determinant of a small square matrix (the induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries up to
 `MODULAR_ATTEMPTS` good primes and falls back to the exact path only when no
@@ -48,7 +48,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,14 +145,17 @@ def rank_exact(source) -> int:
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square rational matrix, by the same elimination.
 
-    The last Bareiss pivot is the determinant of the column-cleared integer
-    matrix up to the sign of the row swaps; dividing by the product of the
-    column denominators gives the rational determinant.
+    The transpose is cleared by its columns (det M^T = det M), so each row
+    of M is multiplied by the lcm of its denominators; on the induction's
+    5x5 blocks that keeps the Bareiss minors smaller than column clearing.
+    The last Bareiss pivot is the determinant of that integer matrix up to
+    the sign of the row swaps; dividing by the product of the lcms gives the
+    rational determinant.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    ints, dens = clear_denominators(rows)
+    ints, dens = clear_denominators(list(zip(*rows)))
     rank, pivot, sign = _bareiss(ints)
     if rank < n:
         return Fraction(0)
@@ -243,14 +246,6 @@ class RankCertificate:
         return out
 
 
-def good_primes(seed: int = 0) -> Iterable[int]:
-    """The fixed prime list, rotated so the seed picks the starting offset."""
-    n = len(FIELD_PRIMES)
-    start = seed % n
-    for idx in range(n):
-        yield FIELD_PRIMES[(start + idx) % n]
-
-
 # Good primes the fast policy tries before it falls back to Bareiss.
 MODULAR_ATTEMPTS = 3
 
@@ -281,7 +276,8 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
     primes_used: list[int] = []
     best_modular = 0
-    for p in good_primes(seed):
+    offset = seed % len(FIELD_PRIMES)
+    for p in FIELD_PRIMES[offset:] + FIELD_PRIMES[:offset]:
         if len(primes_used) >= attempts:
             break
         try:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from prymgauss import (GaussMatrix, assemble_matrix, build_curve, format_rational,
-                       matrix_from_bytes, matrix_from_json, nu_closed_form, parse_rational,
-                       verify_det5)
+from prymgauss import (GaussMatrix, InductionReport, assemble_matrix, build_curve,
+                       format_rational, matrix_from_bytes, matrix_from_json, nu_closed_form,
+                       parse_rational, verify_det5)
 from prymgauss import cli, curves
 from prymgauss.cli import main
 from prymgauss.params import params_to_file, seeded_params
@@ -200,6 +200,40 @@ def test_induction_reports_a_repeated_value_once(capsys):
     data = json.loads(out)
     assert data["a_values"] == ["2"]
     assert [r["a"] for r in data["reports"]] == ["2"]
+    # a_values keeps the first-given order; the reports come sorted by a
+    code, out, _ = run_cli(capsys, "induction", "--g-min", "13", "--g-max", "13",
+                           "--a", "3", "--a", "2", "--a=-5/7", "--json", "--no-timing")
+    assert code == 0
+    data = json.loads(out)
+    assert data["a_values"] == ["3", "2", "-5/7"]
+    assert [r["a"] for r in data["reports"]] == ["-5/7", "2", "3"]
+
+
+def _report(det5_nonzero=True, tau=True, scaled=True):
+    return InductionReport(genus=13, parity="odd", a=Fraction(2), node_index=7,
+                           selected_columns=((2, 7), (3, 7), (7, 11), (7, 12), (5, 8)),
+                           det5=Fraction(int(det5_nonzero)), det5_nonzero=det5_nonzero,
+                           scaled4x4_matches=scaled, tau_closed_form_matches=tau,
+                           tau_sign_matches_display=True)
+
+
+@pytest.mark.parametrize("report,line,code", [
+    (_report(), "g=13 a=2 (odd): det5 nonzero: True; ok", 0),
+    (_report(det5_nonzero=False),
+     "g=13 a=2 (odd): det5 nonzero: False; DET5=0", 1),
+    (_report(tau=False), "g=13 a=2 (odd): det5 nonzero: True; TAU-MISMATCH", 1),
+    (_report(scaled=False),
+     "g=13 a=2 (odd): det5 nonzero: True; 4x4-DIAGNOSTIC-OFF", 0),
+    (_report(scaled=None),
+     "g=13 a=2 (odd): det5 nonzero: True; 4x4-DIAGNOSTIC-INCONCLUSIVE", 0),
+    (_report(det5_nonzero=False, tau=False, scaled=None),
+     "g=13 a=2 (odd): det5 nonzero: False; DET5=0 TAU-MISMATCH 4x4-DIAGNOSTIC-INCONCLUSIVE", 1),
+], ids=["ok", "det5-zero", "tau-mismatch", "4x4-off", "4x4-inconclusive", "all-flags"])
+def test_induction_human_output_flags(capsys, monkeypatch, report, line, code):
+    monkeypatch.setattr(cli, "induction_sweep", lambda g_min, g_max, a_values: [report])
+    got, out, _ = run_cli(capsys, "induction", "--g-min", "13", "--g-max", "13", "--a", "2")
+    assert out.splitlines() == [line]
+    assert got == code
 
 
 def test_induction_prints_a_det5_longer_than_the_int_string_limit(capsys):

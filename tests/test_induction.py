@@ -125,6 +125,39 @@ def test_scaling_test_detects_mismatch():
     assert _scaling_match(computed, target) is False
 
 
+# A 4x4 target with an interior zero, and its rescaling by row scalars R
+# and column scalars C (computed * R[p] * C[q] == target).
+SCALING_TARGET = ((1, 2, 3, 4), (5, 0, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
+R = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
+C = (Fraction(3), Fraction(1, 5), Fraction(1), Fraction(-2))
+
+
+def scaling_case(computed_cells=(), target_cells=()):
+    """(computed, target) for the scaled block with the given cells overridden."""
+    target = [list(row) for row in SCALING_TARGET]
+    computed = [[Fraction(x) / (R[p] * C[q]) for q, x in enumerate(row)]
+                for p, row in enumerate(SCALING_TARGET)]
+    for (p, q), x in computed_cells:
+        computed[p][q] = Fraction(x)
+    for (p, q), x in target_cells:
+        target[p][q] = x
+    return computed, target
+
+
+@pytest.mark.parametrize("computed,target,want", [
+    (*scaling_case(computed_cells=[((2, 3), 0)]), False),
+    (*scaling_case(computed_cells=[((1, 1), 1)]), False),
+    (*scaling_case(computed_cells=[((0, 2), 0)], target_cells=[((0, 2), 0)]), None),
+    (*scaling_case(computed_cells=[((3, 0), 0)], target_cells=[((3, 0), 0)]), None),
+    (*scaling_case(), True),
+    (*scaling_case(computed_cells=[((2, 3), 7)]), False),
+], ids=["computed-zero-target-not", "target-zero-computed-not", "zero-in-first-row",
+        "zero-in-first-column", "scaled-with-interior-zero", "one-cell-changed"])
+def test_scaling_match_outcomes(computed, target, want):
+    from prymgauss.induction import _scaling_match
+    assert _scaling_match(computed, target) is want
+
+
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (19, 3), (20, Fraction(-5, 7))])
 def test_tau_closed_form_matches(g, a):
     assert check_tau_closed_form(build_induction_submatrix(g, a), tau_closed_form(g, a))

@@ -141,6 +141,14 @@ def test_certificate_fast_policy_maximal():
     assert cert.primes_used and all(p in FIELD_PRIMES for p in cert.primes_used)
 
 
+@pytest.mark.parametrize("seed,first", [(0, 0), (24, 24), (25, 0), (-1, 24)])
+def test_certify_seed_offset_wraps_around_the_prime_list(seed, first):
+    assert len(FIELD_PRIMES) == 25
+    cert = certify(frac_rows([[1, 2], [3, 4]]), policy="fast", seed=seed)
+    assert cert.is_maximal and cert.method == "modular"
+    assert cert.primes_used == (FIELD_PRIMES[first],)
+
+
 def test_certificate_exact_policy():
     a1, a2 = seeded_params(6, 2)
     matrix = assemble_matrix(build_curve(6, a1, a2))
@@ -234,6 +242,15 @@ def test_det_exact_matches_sympy(rows):
     got = det_exact(rows)
     assert sympy.Rational(got.numerator, got.denominator) == want
     assert (got == 0) == (rank_exact(rows) < len(rows))
+
+
+@pytest.mark.parametrize("rows", [
+    frac_rows([[2, -3], [Fraction(-2, 3), 1]]),
+    [[Fraction(0)] * 5 if i == 3 else [Fraction(i * 5 + j + 1, j + 2) for j in range(5)]
+     for i in range(5)],
+], ids=["2x2-proportional-rows", "5x5-zero-row"])
+def test_det_exact_of_a_singular_matrix_is_zero(rows):
+    assert det_exact(rows) == 0
 
 
 def test_det_exact_rejects_non_square_rows():
