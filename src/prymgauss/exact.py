@@ -11,7 +11,8 @@ A small prime-field layer supports modular rank bounds: `reduce_mod_p` is
 the one rational -> residue reduction, to int64 residues in [0, p).  The
 module ships a fixed list of word-sized primes (the 25 smallest primes above
 2^30) so that modular runs are reproducible; callers select an offset into
-the list.
+the list.  numpy is imported inside `reduce_mod_p` and `_inverse_mod_p`,
+not with the module, so only a modular rank loads it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -47,11 +49,12 @@ def parse_rational(value: RationalLike) -> Fraction:
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not a rational literal: {value!r}")
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ValueError(f"zero denominator in rational literal: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        if not den:
+            return Fraction(int(num))
+        q = int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator in rational literal: {value!r}")
+        return Fraction(int(num), q)
     kind = "floats" if isinstance(value, float) else f"{type(value).__name__} values"
     raise ValueError(f"not a rational value: {value!r} ({kind} are not accepted)")
 
@@ -104,6 +107,8 @@ def reduce_mod_p(matrix, p: int) -> np.ndarray:
     Raises ValueError unless 2^30 < p < 2^31 or if the rows differ in
     length, and BadPrimeError if p divides any entry denominator.
     """
+    import numpy as np
+
     check_modulus(p)
     rows = _entry_rows(matrix)
     ncols = len(rows[0]) if rows else 0
@@ -126,6 +131,8 @@ def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
 
     Overwrites `values`; in-place products keep the temporaries to one array.
     """
+    import numpy as np
+
     result = np.ones_like(values)
     e = p - 2
     while e:

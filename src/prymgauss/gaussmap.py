@@ -40,7 +40,9 @@ rational arithmetic.  It samples each nu_{ij,h} at the 2g-3 points
 0..2g-4 (`evaluation_points`) instead of storing its coefficients, so its
 array equals reduce_p(M) * blockdiag(V, V, I), where V[d, k] = x_k^d is the
 Vandermonde matrix of the points.  V is invertible mod p (the points are
-distinct and p > 2g), so the rank mod p is the rank of reduce_p(M).
+distinct and p > 2g), so the rank mod p is the rank of reduce_p(M).  numpy
+is imported inside `assemble_mod_p` and `_cofactors_mod_p`, not with the
+module, so the exact routes and the serializers run without it.
 """
 
 from __future__ import annotations
@@ -50,11 +52,13 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .curves import CONVENTIONS, PrymBinaryCurve, _cleared_alphas, _homogeneous_value
 from .exact import format_rational, parse_rational, reduce_mod_p
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def row_pairs(genus: int) -> tuple[tuple[int, int], ...]:
@@ -202,6 +206,8 @@ def _cofactors_mod_p(points: np.ndarray, roots: np.ndarray,
     Built from prefix and suffix products and their derivatives (product
     rule), so nothing is divided and a point may equal a root.
     """
+    import numpy as np
+
     diff = (points[:, None] - roots[None, :]) % p
     m, n = diff.shape
     pre = np.ones((m, n + 1), dtype=np.int64)
@@ -239,6 +245,8 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
     polynomial in those values, so otherwise none of its denominators is
     divisible by p either.
     """
+    import numpy as np
+
     g = curve.genus
     constants = {eps: [curve.coeff_pair(i, eps) for i in range(1, g)] for eps in (1, 2)}
     # One reduction per prime: rows a1, a2, c(component 1), c(component 2).

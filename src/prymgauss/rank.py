@@ -40,6 +40,12 @@ attempt, so it goes straight to Bareiss.  Runs are sequential, so
 certificates are identical no matter how callers schedule them; the seed
 fixes the prime sequence (offset into the fixed prime list).  A curve and
 its matrix have the same ranks, so they get the same certificate.
+
+This module does not import numpy.  The modular route loads it at its
+first array (`gaussmap.assemble_mod_p`, `exact.reduce_mod_p`), and
+`_echelon_rank` uses only the methods of the array it is given; the exact
+route never loads it.  `certify` loads it before its clock starts when its
+policy makes modular attempts, so a certificate's time is its own.
 """
 
 from __future__ import annotations
@@ -48,14 +54,15 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .curves import PrymBinaryCurve
 from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators,
                     reduce_mod_p)
 from .gaussmap import _cleared_rows, assemble_matrix, assemble_mod_p, matrix_shape
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def rank_mod_p(source, p: int) -> int:
@@ -264,6 +271,9 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     """
     if policy not in ("fast", "exact"):
         raise ValueError(f"policy must be 'fast' or 'exact', got {policy!r}")
+    attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
+    if attempts:
+        import numpy  # noqa: F401  (loaded here, so elapsed_seconds excludes it)
     start = time.perf_counter()
     if isinstance(source, PrymBinaryCurve):
         nrows, ncols = matrix_shape(source.genus)
@@ -273,7 +283,6 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         ncols = len(rows[0]) if nrows else 0
     genus = getattr(source, "genus", None)
     maxp = min(nrows, ncols)
-    attempts = MODULAR_ATTEMPTS if policy == "fast" else 0
     primes_used: list[int] = []
     best_modular = 0
     offset = seed % len(FIELD_PRIMES)

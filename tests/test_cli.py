@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -343,6 +344,47 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["certificate"]["rank"] == 3
 
 
+# Runs in a fresh interpreter (this one has loaded numpy already): imports the
+# package, then runs each command of argv[1] through cli.main with
+# `--json --no-timing`, and prints whether numpy was loaded after the import
+# and after each command, with each command's exit code and stdout sha256.
+_NUMPY_PROBE = r"""
+import contextlib, hashlib, io, json, sys
+import prymgauss, prymgauss.cli
+result = {"after_import": "numpy" in sys.modules, "runs": []}
+for command in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = prymgauss.cli.main(command.split() + ["--json", "--no-timing"])
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    result["runs"].append([command, code, digest, "numpy" in sys.modules])
+print(json.dumps(result))
+"""
+
+
+def test_only_a_modular_rank_loads_numpy(tmp_path):
+    free = ["classes", "induction --g-min 13 --g-max 13", "curve validate --genus 8 --seed 5",
+            "oracle --genus 9 --seed 3",
+            "matrix export --genus 6 --seed 1 --format bin --out m.bin",
+            "matrix export --genus 6 --seed 1 --format json --out m.json",
+            "rank --genus 9 --seed 3 --policy exact"]
+    modular = "rank --genus 9 --seed 3"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(free + [modular])],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["after_import"] is False
+    assert [run[0] for run in result["runs"]] == free + [modular]
+    for command, code, digest, numpy_loaded in result["runs"]:
+        assert code == 0, command
+        assert numpy_loaded is (command == modular), command
+        if command in GOLDEN_STDOUT_SHA256:
+            assert digest == GOLDEN_STDOUT_SHA256[command], command
+    assert (tmp_path / "m.bin").is_file() and (tmp_path / "m.json").is_file()
+
+
 # sha256 of the exact stdout of each command.  A command that names no output
 # flags runs with `--json --no-timing`; one that ends in `--no-timing` is
 # pinned in human form.  The first four were pinned on the Fraction assembly
@@ -356,6 +398,9 @@ GOLDEN_STDOUT_SHA256 = {
         "03087ba6154315a4c09750dd322797dd6682ec80dd47b4c4d2f13ef91bf5b8dd",
     "rank --genus 9 --seed 3 --policy exact":
         "7d23f66358f895152a183476152334d68cc841a6a92ceb60e98c082eabb32b10",
+    # pinned before numpy was loaded only by modular ranks
+    "rank --genus 9 --seed 3":
+        "687eb89a6012b8c7a30e059b7e44834a1fccc9aa1835cad31519d6c3d7281df7",
     # pinned on the modular elimination that updated every row below each pivot
     "sweep --g-min 13 --g-max 60":
         "982e14c340625dbcc0e27964ea2b18922f67c132e9fbc424f5b9882ae934865b",
