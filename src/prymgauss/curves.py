@@ -111,14 +111,6 @@ class PrymBinaryCurve:
         return (Fraction(Q * ln, D), Fraction(dQ * ln + Q * delta * ld, D),
                 Fraction(ddQ * ln + 2 * dQ * delta * ld, D))
 
-    def node_parameter(self, eps: int, h: int) -> Fraction:
-        """t-coordinate of node P_h on component eps, h = 1..g (P_g at t=0)."""
-        if not 1 <= h <= self.genus:
-            raise ValueError(f"interior node index must be in 1..{self.genus}, got {h}")
-        if h == self.genus:
-            return Fraction(0)
-        return self.params(eps)[h - 1]
-
     def __repr__(self) -> str:
         return (f"PrymBinaryCurve(genus={self.genus}, convention={self.convention!r}, "
                 f"a1=({', '.join(format_rational(x) for x in self.a1)}), "
@@ -229,18 +221,18 @@ def node_check(curve: PrymBinaryCurve) -> NodeCheckReport:
 
     For every component eps, on the cleared coordinates P_i of
     `_cleared_alphas`: the vector (P_i(a_l)) must be a nonzero multiple of
-    P_l (l <= g-1), (P_i(0)) of P_g, and the top-degree coefficients of
-    P_{g+1}.  A node n/m is evaluated as m^(g-1) P_i(n/m); the factor
-    m^(g-1)/den is common to the coordinates, so the patterns are those of
-    the alpha_i.
+    P_l (l <= g-1), (P_i(0)) of P_g, and (P_i(infinity)) of P_{g+1}.  A node
+    is the homogeneous point (n, m), t = n/m, evaluated as m^(g-1) P_i(n/m);
+    P_{g+1} is the point (1, 0), whose value is P_i's top coefficient.  The
+    factor m^(g-1)/den is common to the coordinates, so the patterns are
+    those of the alpha_i.
     """
     g = curve.genus
     failures = []
     for eps in (1, 2):
         coords, _ = _cleared_alphas(curve, eps)
-        points = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1)]
+        points = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1), (1, 0)]
         vectors = [[_homogeneous_value(c, n, m) for c in coords] for n, m in points]
-        vectors.append([c[g - 1] for c in coords])
         for l, (vec, pattern) in enumerate(zip(vectors, node_table(g)), start=1):
             bad = _proportional(vec, pattern)
             if bad is not None:

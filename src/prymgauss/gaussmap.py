@@ -5,19 +5,20 @@ splits into a polynomial part and a torsion part:
 
 * nu_{ij,h}(t) = alpha_{i,h} alpha'_{j,h} - alpha_{j,h} alpha'_{i,h} on
   component h, a polynomial of degree <= 2g-4 (the top terms cancel);
-* one scalar per node: at an interior node P_h (h = 1..g, with P_g at t=0)
+* one scalar per node P_h, h = 1..g+1: with d_{i,eps,h} the slope of
+  alpha_{i,eps} at P_h,
 
-      tau(i,j)_h = alpha'_{j,1}(a_{h,1}) alpha'_{i,2}(a_{h,2})
-                 - alpha'_{i,1}(a_{h,1}) alpha'_{j,2}(a_{h,2}),
+      tau(i,j)_h = d_{j,1,h} d_{i,2,h} - d_{i,1,h} d_{j,2,h},
 
-  and at P_{g+1} the same expression in the u-chart derivatives at u = 0.
-  Since uchart_i(u) = u^(g-1) alpha_i(1/u), the u-chart slope at u = 0 is
-  alpha_i's coefficient of degree g-2.
+  one antisymmetric product over the g+1 node rows.  At P_1..P_g (P_g at
+  t=0) the slope is alpha_i' at the node's parameter; at P_{g+1} it is the
+  u-chart derivative at u = 0.  Since uchart_i(u) = u^(g-1) alpha_i(1/u),
+  that is alpha_i's coefficient of degree g-2.
 
 The assembled matrix has one row per pair (i, j), 1 <= i < j <= g-1, in
 lexicographic order, and 5g-5 columns: the 2g-3 coefficients of nu_{ij,1}
-(ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at P_1..P_g,
-tau at P_{g+1}.  `_cleared_rows` works over the integer coordinates of
+(ascending degree), the 2g-3 coefficients of nu_{ij,2}, tau at
+P_1..P_{g+1}.  `_cleared_rows` works over the integer coordinates of
 `curves._cleared_alphas`, and `assemble_matrix` divides its integer rows by
 one fixed denominator per column: with alpha_i = P_i/den per component,
 nu_{ij} = (P_i P_j' - P_j P_i')/den^2, alpha_i' at a node n/m is P_i' by
@@ -168,21 +169,21 @@ def _cleared_rows(curve: PrymBinaryCurve) -> tuple[list[list[int]], list[int]]:
         polys, den = _cleared_alphas(curve, eps)
         derivs = [[d * c for d, c in enumerate(poly)][1:] for poly in polys]
         nodes = [(x.numerator, x.denominator) for x in curve.params(eps)] + [(0, 1)]
+        # alpha_i' at P_1..P_g, then the u-chart slope at P_{g+1}.
         comps.append((polys, den,
-                      [[_homogeneous_value(dp, n, m) for n, m in nodes] for dp in derivs],
-                      [den * m ** (g - 2) for _, m in nodes]))
+                      [[_homogeneous_value(dp, n, m) for n, m in nodes] + [poly[g - 2]]
+                       for poly, dp in zip(polys, derivs)],
+                      [den * m ** (g - 2) for _, m in nodes] + [den]))
     (p1, den1, v1, n1), (p2, den2, v2, n2) = comps
-    tau_dens = [x * y for x, y in zip(n1, n2)]
     rows = []
     for i, j in row_pairs(g):
         i, j = i - 1, j - 1
         row = _wronskian(p1[i], p1[j], width)
         row += _wronskian(p2[i], p2[j], width)
-        # tau(i, j) = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2}.
+        # tau(i, j) = d_{j,1} d_{i,2} - d_{i,1} d_{j,2} at each of the g+1 nodes.
         row += [a * b - c * d for a, b, c, d in zip(v1[j], v2[i], v1[i], v2[j])]
-        row.append(p1[j][g - 2] * p2[i][g - 2] - p1[i][g - 2] * p2[j][g - 2])
         rows.append(row)
-    return rows, [den1 * den1] * width + [den2 * den2] * width + tau_dens + [den1 * den2]
+    return rows, [den1 * den1] * width + [den2 * den2] * width + [x * y for x, y in zip(n1, n2)]
 
 
 def assemble_matrix(curve: PrymBinaryCurve) -> GaussMatrix:
@@ -257,7 +258,7 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
     second = np.array([j - 1 for _, j in pairs], dtype=np.intp)
     samples = np.array(evaluation_points(g), dtype=np.int64)
     width = len(samples)
-    node_derivs, slopes = [], []
+    node_derivs = []
     out = np.empty((len(pairs), 5 * g - 5), dtype=np.int64)
     for eps in (1, 2):
         roots, c = reduced[eps - 1], reduced[eps + 1]
@@ -270,12 +271,10 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
         dalpha = (dq * lin % p + q * delta[None, :]) % p
         out[:, (eps - 1) * width:eps * width] = _antisymmetric(
             alpha[:width], dalpha[:width], first, second, p)
-        node_derivs.append(dalpha[width:])
-        slopes.append(((delta * (roots - int(roots.sum() % p)) - c) % p)[None, :])
-    # tau(i, j) = d1_j d2_i - d1_i d2_j, at P_1..P_g and at P_{g+1}.
-    tau = 2 * width
-    out[:, tau:tau + g] = _antisymmetric(node_derivs[1], node_derivs[0], first, second, p)
-    out[:, -1] = _antisymmetric(slopes[1], slopes[0], first, second, p)[:, 0]
+        slope = (delta * (roots - int(roots.sum() % p)) - c) % p
+        node_derivs.append(np.vstack((dalpha[width:], slope)))
+    # tau(i, j) = d1_j d2_i - d1_i d2_j at P_1..P_{g+1}.
+    out[:, 2 * width:] = _antisymmetric(node_derivs[1], node_derivs[0], first, second, p)
     return out
 
 
@@ -319,7 +318,10 @@ def _check_shape(genus, nrows: int, ncols: int) -> None:
 
 
 def matrix_from_json(text: str) -> GaussMatrix:
-    """Parse `matrix_to_json` output; ValueError unless it is one whole matrix."""
+    """Parse `matrix_to_json` output; ValueError unless it is one whole matrix.
+
+    The shape is checked before any cell is parsed, as `matrix_from_bytes`
+    checks its header."""
     try:
         data = json.loads(text)
     except RecursionError as exc:
@@ -335,12 +337,12 @@ def matrix_from_json(text: str) -> GaussMatrix:
     rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix JSON rows must be a list of lists")
-    entries = tuple(tuple(parse_rational(x) for x in row) for row in rows)
-    matrix = GaussMatrix(genus=data["genus"], convention=data["convention"], entries=entries)
-    _check_shape(matrix.genus, matrix.rows, matrix.cols)
-    if any(len(row) != matrix.cols for row in entries):
+    ncols = len(rows[0]) if rows else 0
+    _check_shape(data["genus"], len(rows), ncols)
+    if any(len(row) != ncols for row in rows):
         raise ValueError("matrix rows differ in length")
-    return matrix
+    entries = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    return GaussMatrix(genus=data["genus"], convention=data["convention"], entries=entries)
 
 
 def matrix_to_bytes(matrix: GaussMatrix) -> bytes:

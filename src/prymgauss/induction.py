@@ -101,7 +101,7 @@ def build_induction_submatrix(genus: int, a: RationalLike) -> InductionSubmatrix
     curve = family_curve(genus, a)
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
-    points = {eps: curve.node_parameter(eps, r) for eps in (1, 2)}
+    points = {eps: curve.params(eps)[r - 1] for eps in (1, 2)}
     jets = {(i, eps): curve.alpha_jet(i, eps, points[eps])
             for i in {i for pair in pairs for i in pair} for eps in (1, 2)}
     cols = []

@@ -87,15 +87,17 @@ def rank_mod_p(source, p: int) -> int:
 def _echelon_rank(arr: np.ndarray, p: int) -> int:
     """Rank of an int64 array of residues mod p, by row echelon in place.
 
-    A tall array is first tried on a copy of its first ncols rows (the
+    A tall array is first eliminated in place on its first ncols rows (the
     square call does not recurse): a subset of rows has rank at most
     rank(arr) <= ncols, so a full-rank prefix is already the answer.
-    Otherwise the whole array is eliminated.  On a rank-deficient image the
-    prefix work is wasted (1.4-2.2x the time at g = 13..60 with a1 = 2*a2),
-    small beside the Bareiss fallback such curves then run.
+    Otherwise the whole array is eliminated.  Row operations within the
+    prefix keep the row space of the whole array, so its rank is unchanged.
+    On a rank-deficient image the prefix work is wasted (1.4-2.2x the time
+    at g = 13..60 with a1 = 2*a2), small beside the Bareiss fallback such
+    curves then run.
     """
     nrows, ncols = arr.shape
-    if nrows > ncols and _echelon_rank(arr[:ncols].copy(), p) == ncols:
+    if nrows > ncols and _echelon_rank(arr[:ncols], p) == ncols:
         return ncols
     rank = 0
     for c in range(ncols):
@@ -115,8 +117,6 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
         arr[rank, c:] = row
         arr[rank + 1:, c:] = (arr[rank + 1:, c:] - arr[rank + 1:, c, None] * row) % p
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -196,12 +196,7 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
         prev = 1
         for s, (pv, below) in enumerate(steps):
             a = col[s]
-            if a:
-                col[s + 1:] = [(x * pv - f * a) // prev for x, f in zip(col[s + 1:], below)]
-            else:
-                # Bareiss scaling applies to the whole submatrix, zero
-                # pivot-row entry or not; division stays exact.
-                col[s + 1:] = [x * pv // prev for x in col[s + 1:]]
+            col[s + 1:] = [(x * pv - f * a) // prev for x, f in zip(col[s + 1:], below)]
             prev = pv
         rank = len(steps)
         pivot = None

@@ -162,26 +162,34 @@ def test_oracle_reports_a_perturbed_closed_form(capsys, monkeypatch):
 @pytest.mark.parametrize("convention", ["paper", "script"])
 def test_curve_validate_reports_a_coordinate_off_pattern(capsys, monkeypatch, convention):
     cleared = curves._cleared_alphas
-
-    def perturbed(curve, eps):
-        polys, den = cleared(curve, eps)
-        if eps == 2:
-            polys[2][0] += 1      # P_3(0) != 0, so P_3 leaves the patterns of P_1, P_2, P_4
-        return polys, den
-    monkeypatch.setattr(curves, "_cleared_alphas", perturbed)
+    cases = {
+        # P_3(0) != 0, so P_3 leaves the patterns of P_1, P_2, P_4 and P_5
+        (2, 3, 0): ["node P_1, component 2: coordinate 3 off pattern",
+                    "node P_2, component 2: coordinate 3 off pattern",
+                    "node P_4, component 2: coordinate 3 off pattern",
+                    "node P_5, component 2: coordinate 4 off pattern"],
+        # P_4 gets a top coefficient, seen at P_6 = (1, 0) and at P_1..P_3
+        (1, 4, 4): ["node P_1, component 1: coordinate 4 off pattern",
+                    "node P_2, component 1: coordinate 4 off pattern",
+                    "node P_3, component 1: coordinate 4 off pattern",
+                    "node P_6, component 1: coordinate 4 off pattern"],
+    }
     argv = ["curve", "validate", "--genus", "5", "--seed", "2", "--convention", convention]
-    code, out, _ = run_cli(capsys, *argv, "--no-timing")
-    assert code == 1
-    failures = ["node P_1, component 2: coordinate 3 off pattern",
-                "node P_2, component 2: coordinate 3 off pattern",
-                "node P_4, component 2: coordinate 3 off pattern",
-                "node P_5, component 2: coordinate 4 off pattern"]
-    assert out.splitlines() == [f"genus 5 ({convention}): node check FAIL"] + \
-        [f"  {line}" for line in failures]
-    code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
-    assert code == 1
-    data = json.loads(out)
-    assert data["ok"] is False and data["failures"] == failures
+    for (component, index, degree), failures in cases.items():
+        def perturbed(curve, eps):
+            polys, den = cleared(curve, eps)
+            if eps == component:
+                polys[index - 1][degree] += 1
+            return polys, den
+        monkeypatch.setattr(curves, "_cleared_alphas", perturbed)
+        code, out, _ = run_cli(capsys, *argv, "--no-timing")
+        assert code == 1
+        assert out.splitlines() == [f"genus 5 ({convention}): node check FAIL"] + \
+            [f"  {line}" for line in failures]
+        code, out, _ = run_cli(capsys, *argv, "--json", "--no-timing")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False and data["failures"] == failures
 
 
 def test_induction_cli(capsys):
@@ -462,6 +470,15 @@ def test_convention_flag_disagreeing_with_params_file_is_a_usage_error(capsys, t
                              "--json", "--no-timing")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "convention" in err
+
+
+def test_genus_flag_disagreeing_with_params_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "g11.json"
+    params_to_file(path, 11, "paper", *seeded_params(11, 0))
+    code, out, err = run_cli(capsys, "rank", "--genus", "12", "--params", str(path),
+                             "--json", "--no-timing")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "disagrees with parameter file genus 11" in err
 
 
 def test_convention_flag_agreeing_with_params_file(capsys, tmp_path):

@@ -103,6 +103,13 @@ def test_homogeneous_value_is_the_scaled_value(coeffs, n, m):
         m ** (len(coeffs) - 1) * sum(c * x ** d for d, c in enumerate(coeffs))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+def test_homogeneous_value_at_infinity_is_the_top_coefficient(coeffs):
+    # node_check evaluates P_{g+1} as the homogeneous point (1, 0)
+    assert _homogeneous_value(coeffs, 1, 0) == coeffs[-1]
+
+
 def test_node_check_passes_on_valid_curves(g5_curve):
     assert node_check(g5_curve).ok
     for seed in (1, 9, 33):
@@ -253,7 +260,7 @@ def test_alpha_jet_matches_fraction_recurrence_at_family_node(g, a):
     curve = family_curve(g, a)
     r = projection_node_index(g)
     for eps in (1, 2):
-        assert_jets_match(curve, eps, [curve.node_parameter(eps, r)])
+        assert_jets_match(curve, eps, [curve.params(eps)[r - 1]])
 
 
 @pytest.mark.parametrize("i", [0, 5, -1])

@@ -160,11 +160,6 @@ def test_tau_interior_frozen_oracle_values(sym_curve, gen_curve):
     assert tau(gen_curve, 1, 4, 1) == Fraction(-148, 105)
 
 
-def test_tau_interior_node_range(gen_curve):
-    with pytest.raises(ValueError):
-        gen_curve.node_parameter(1, 6)
-
-
 def test_tau_infinity_frozen_oracle_values(sym_curve, gen_curve):
     assert tau(sym_curve, 2, 3, 6) == Fraction(-1, 4)
     assert tau(gen_curve, 1, 2, 6) == Fraction(-221, 2)
@@ -472,6 +467,11 @@ def test_binary_rejects_unknown_convention_flag(g5_dump):
         matrix_from_bytes(g5_dump[:9] + b"\x02" + g5_dump[10:])
 
 
+def test_binary_rejects_unsupported_version(g5_dump):
+    with pytest.raises(ValueError, match="unsupported matrix dump version 2"):
+        matrix_from_bytes(g5_dump[:4] + b"\x02" + g5_dump[5:])
+
+
 def test_json_rejects_shape_mismatch(gen_curve):
     m = assemble_matrix(gen_curve)
     short = GaussMatrix(genus=5, convention="paper", entries=m.entries[:-1])
@@ -480,6 +480,18 @@ def test_json_rejects_shape_mismatch(gen_curve):
     ragged = GaussMatrix(genus=5, convention="paper", entries=m.entries[:-1] + (m.entries[-1][:-1],))
     with pytest.raises(ValueError, match="differ in length"):
         matrix_from_json(matrix_to_json(ragged))
+
+
+def test_json_checks_the_shape_before_any_cell(gen_curve):
+    data = json.loads(matrix_to_json(assemble_matrix(gen_curve)))
+    data["rows"][0][0] = "1/0"
+    ragged = json.loads(json.dumps(data))
+    ragged["rows"][-1].pop()
+    with pytest.raises(ValueError, match="differ in length"):
+        matrix_from_json(json.dumps(ragged))
+    data["rows"].pop()
+    with pytest.raises(ValueError, match="does not match genus"):
+        matrix_from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("text", [

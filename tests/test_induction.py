@@ -74,8 +74,8 @@ def test_submatrix_rows_match_assembled_matrix():
     sub = build_induction_submatrix(g, 2)
     m = assemble_matrix(curve)
     r = projection_node_index(g)
-    pt1 = curve.node_parameter(1, r)
-    pt2 = curve.node_parameter(2, r)
+    pt1 = curve.params(1)[r - 1]
+    pt2 = curve.params(2)[r - 1]
     layout = m.layout
     for q, pair in enumerate(sub.columns):
         row = m.entries[m.pairs.index(pair)]
@@ -227,7 +227,7 @@ def test_jet_block_equals_wronskian_oracle(a):
         ref = Reference(curve)
         sub = build_induction_submatrix(g, a)
         r = projection_node_index(g)
-        pt1, pt2 = curve.node_parameter(1, r), curve.node_parameter(2, r)
+        pt1, pt2 = curve.params(1)[r - 1], curve.params(2)[r - 1]
         for q, (i, j) in enumerate(sub.columns):
             (nu1, den1), (nu2, den2) = ref.nu(i, j, 1), ref.nu(i, j, 2)
             expected = (evaluate(nu1, pt1) / den1, evaluate(nu1.diff(), pt1) / den1,

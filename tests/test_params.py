@@ -28,6 +28,11 @@ def test_seeded_determinism():
     assert seeded_params(9, 42) != seeded_params(9, 43)
 
 
+def test_seeded_rejects_genus_below_3():
+    with pytest.raises(ParameterError, match="genus must be >= 3, got 2"):
+        seeded_params(2, 0)
+
+
 def test_seeded_bounds_and_invariants():
     for seed in range(12):
         a1, a2 = seeded_params(11, seed)
@@ -57,6 +62,13 @@ def test_file_rejects_floats(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"genus": 5, "a1": [1.5, 2, 3, 4], "a2": [1, 2, 3, 4]}')
     with pytest.raises(ParameterError, match="float"):
+        params_from_file(path)
+
+
+def test_file_rejects_a_row_that_is_not_a_list(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"genus": 3, "a1": "1/2", "a2": ["1", "2"]}')
+    with pytest.raises(ParameterError, match="a1 must be a list"):
         params_from_file(path)
 
 
