@@ -78,9 +78,6 @@ class DivisorClass(_Combination):
     d0pp: Fraction = Fraction(0)
     d0ram: Fraction = Fraction(0)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients())
-
     def is_effective(self) -> bool:
         """Componentwise nonnegativity over the tracked basis."""
         return all(c >= 0 for c in self.coefficients())
@@ -165,27 +162,9 @@ CANONICAL_CLASS = DivisorClass.of(13, -2, -2, -3)
 KOSZUL_DIVISOR = 56 * DivisorClass.of(Fraction(13, 2), -1, -1, Fraction(-3, 2))
 
 
-@dataclass(frozen=True)
-class KodairaReport:
-    canonical: DivisorClass
-    koszul: DivisorClass
-    residual: DivisorClass          # canonical - koszul/28
-    residual_effective: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "canonical": self.canonical.to_json_dict(),
-            "koszul_divisor": self.koszul.to_json_dict(),
-            "residual": self.residual.to_json_dict(),
-            "residual_effective": self.residual_effective,
-        }
-
-
-def kodaira_report() -> KodairaReport:
-    """canonical - (1/28) * Koszul divisor, and its effectivity verdict."""
-    residual = CANONICAL_CLASS - Fraction(1, 28) * KOSZUL_DIVISOR
-    return KodairaReport(canonical=CANONICAL_CLASS, koszul=KOSZUL_DIVISOR,
-                         residual=residual, residual_effective=residual.is_effective())
+def kodaira_residual() -> DivisorClass:
+    """canonical - (1/28) * Koszul divisor."""
+    return CANONICAL_CLASS - Fraction(1, 28) * KOSZUL_DIVISOR
 
 
 def classes_report() -> dict:
@@ -195,6 +174,7 @@ def classes_report() -> dict:
     boundary coefficients of its closure are undetermined here.
     """
     deg = degeneracy_class()
+    residual = kodaira_residual()
     return {
         "hodge_c1_i1": hodge_c1(1).to_json_dict(),
         "source_exterior_square_c1": source_c1().to_json_dict(),
@@ -204,5 +184,10 @@ def classes_report() -> dict:
             "interior_lambda_coefficient": format_rational(deg.interior_restriction()),
             "note": "coefficients beyond the four tracked boundary classes are undetermined",
         },
-        "kodaira": kodaira_report().to_json_dict(),
+        "kodaira": {
+            "canonical": CANONICAL_CLASS.to_json_dict(),
+            "koszul_divisor": KOSZUL_DIVISOR.to_json_dict(),
+            "residual": residual.to_json_dict(),
+            "residual_effective": residual.is_effective(),
+        },
     }

@@ -38,7 +38,6 @@ after construction.  All functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -161,18 +160,6 @@ def node_table(genus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class NodeCheckReport:
-    """Result of checking that both charts hit every node on pattern."""
-    genus: int
-    convention: str
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _cleared_alphas(curve: PrymBinaryCurve, eps: int) -> tuple[list[list[int]], int]:
     """(P, den), alpha(i, eps) = P[i-1]/den with integer P of length g: for
     a_r = n_r/d_r, c_i = cn_i/cd_i and L = lcm cd_i, den = L prod d_r and
@@ -216,8 +203,9 @@ def _proportional(vec: Sequence[int], pattern: Sequence[int]) -> int | None:
     return 0 if value is None else None
 
 
-def node_check(curve: PrymBinaryCurve) -> NodeCheckReport:
-    """Verify that each chart sends the right parameters to the right nodes.
+def node_check(curve: PrymBinaryCurve) -> tuple[str, ...]:
+    """Failure lines, none if each chart sends the right parameters to the
+    right nodes.
 
     For every component eps, on the cleared coordinates P_i of
     `_cleared_alphas`: the vector (P_i(a_l)) must be a nonzero multiple of
@@ -237,7 +225,7 @@ def node_check(curve: PrymBinaryCurve) -> NodeCheckReport:
             bad = _proportional(vec, pattern)
             if bad is not None:
                 failures.append(f"node P_{l}, component {eps}: coordinate {bad + 1} off pattern")
-    return NodeCheckReport(genus=g, convention=curve.convention, failures=tuple(failures))
+    return tuple(failures)
 
 
 def projection_node_index(genus: int) -> int:

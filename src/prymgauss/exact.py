@@ -86,13 +86,14 @@ class BadPrimeError(ValueError):
 
 
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless 2^30 < p < 2^31, the range of FIELD_PRIMES.
+    """Raise ValueError unless p is one of FIELD_PRIMES.
 
-    Below 2^31 a product of two residues stays below 2^62, so the int64
-    arithmetic of the modular rank cannot overflow.
+    A composite modulus makes the residues a ring, not a field, so its rank
+    is no lower bound; and below 2^31 a product of two residues stays below
+    2^62, so the int64 arithmetic of the modular rank cannot overflow.
     """
-    if not 2**30 < p < 2**31:
-        raise ValueError(f"modulus {p} outside (2^30, 2^31); use a field prime")
+    if p not in FIELD_PRIMES:
+        raise ValueError(f"modulus {p} outside FIELD_PRIMES; use a field prime")
 
 
 def _entry_rows(matrix) -> Sequence[Sequence[Fraction]]:
@@ -104,8 +105,8 @@ def reduce_mod_p(matrix, p: int) -> np.ndarray:
     """The matrix (a GaussMatrix or rational rows) reduced mod p, as int64
     residues in [0, p).
 
-    Raises ValueError unless 2^30 < p < 2^31 or if the rows differ in
-    length, and BadPrimeError if p divides any entry denominator.
+    Raises ValueError unless p is one of FIELD_PRIMES or if the rows differ
+    in length, and BadPrimeError if p divides any entry denominator.
 
     The denominators are inverted by one vectorized Fermat loop, a fixed 31
     squarings whatever the size.  On a g=20 matrix (16,245 cells) it takes

@@ -80,24 +80,15 @@ def selected_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     return ((2, k + 1), (3, k + 1), (k + 1, genus - 2), (k + 1, genus - 1), (k - 1, k + 2))
 
 
-@dataclass(frozen=True)
-class InductionSubmatrix:
-    genus: int
-    a: Fraction
-    parity: str                     # "even" | "odd"
-    node_index: int                 # r
-    columns: tuple[tuple[int, int], ...]
-    entries: tuple[tuple[Fraction, ...], ...]   # 5 rows x 5 columns
+def build_induction_submatrix(genus: int, a: RationalLike) -> tuple[tuple[Fraction, ...], ...]:
+    """The 5x5 block as its rows, from alpha jets at the projection node.
 
-
-def build_induction_submatrix(genus: int, a: RationalLike) -> InductionSubmatrix:
-    """Assemble the 5x5 block from alpha jets at the projection node.
-
-    One jet (alpha, alpha', alpha'') per distinct (index, component) gives
-    nu = a_i a_j' - a_j a_i', nu' = a_i a_j'' - a_j a_i'' and
-    tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2}; no polynomial is built.
+    Column q belongs to the q-th pair of `selected_pairs(genus)`; its rows
+    are nu_1, nu_1', nu_2, nu_2' and tau.  One jet (alpha, alpha', alpha'')
+    per distinct (index, component) gives nu = a_i a_j' - a_j a_i',
+    nu' = a_i a_j'' - a_j a_i'' and tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2};
+    no polynomial is built.
     """
-    a = parse_rational(a)
     curve = family_curve(genus, a)
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
@@ -113,35 +104,25 @@ def build_induction_submatrix(genus: int, a: RationalLike) -> InductionSubmatrix
             col += [ai * dj - aj * di, ai * ddj - aj * ddi]
         col.append(jets[(j, 1)][1] * jets[(i, 2)][1] - jets[(i, 1)][1] * jets[(j, 2)][1])
         cols.append(col)
-    entries = tuple(tuple(cols[q][p] for q in range(5)) for p in range(5))
-    return InductionSubmatrix(genus=genus, a=a,
-                              parity="even" if genus % 2 == 0 else "odd",
-                              node_index=r, columns=pairs, entries=entries)
+    return tuple(zip(*cols))
 
 
-def even_reference_matrix(k: int) -> tuple[tuple[int, ...], ...]:
-    """Integer reference for the simplified 4x4 block, even genus 2k."""
-    return (
-        (-k * (k - 2), -k * (k - 1), -2 * (k - 1) ** 2, -(2 * k - 1) * (k - 2)),
-        ((k - 2) ** 2, 2 * (k - 1) ** 2, -2 * (k - 1) ** 3, -(2 * k - 1) * (k - 2) ** 2),
-        (-k * (k - 2), -k * (k - 1), 2 * (k - 1) ** 2, (2 * k - 1) * (k - 2)),
-        ((k - 2) ** 2, 2 * (k - 1) ** 2, 2 * (k - 1) ** 3, (2 * k - 1) * (k - 2) ** 2),
-    )
-
-
-def odd_reference_matrix(k: int) -> tuple[tuple[int, ...], ...]:
-    """Integer reference for the simplified 4x4 block, odd genus 2k+1."""
+def reference_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
+    """Integer reference for the simplified 4x4 block, genus 2k or 2k+1."""
+    k = genus // 2
+    if genus % 2 == 0:
+        return (
+            (-k * (k - 2), -k * (k - 1), -2 * (k - 1) ** 2, -(2 * k - 1) * (k - 2)),
+            ((k - 2) ** 2, 2 * (k - 1) ** 2, -2 * (k - 1) ** 3, -(2 * k - 1) * (k - 2) ** 2),
+            (-k * (k - 2), -k * (k - 1), 2 * (k - 1) ** 2, (2 * k - 1) * (k - 2)),
+            ((k - 2) ** 2, 2 * (k - 1) ** 2, 2 * (k - 1) ** 3, (2 * k - 1) * (k - 2) ** 2),
+        )
     return (
         (-(k + 1) * (k - 1), -(k + 1) * (k - 2), -(k - 2), -(k - 1)),
         (-(k * k - 2 * k - 1), -(k * k - 4 * k - 2), -(2 * k - 2), -(2 * k - 1)),
         ((k + 1) * (k - 1), (k + 1) * (k - 2), -(k - 2), -(k - 1)),
         ((k * k - 2 * k - 1), (k * k - 4 * k - 2), -(2 * k - 2), -(2 * k - 1)),
     )
-
-
-def reference_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
-    k = genus // 2
-    return even_reference_matrix(k) if genus % 2 == 0 else odd_reference_matrix(k)
 
 
 def _scaling_match(computed: Sequence[Sequence[Fraction]],
@@ -165,11 +146,11 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
     return all(computed[p][q] * row_scale[p] * col_scale[q] == target[p][q] for p, q in cells)
 
 
-def check_scaled_matrix(submatrix: InductionSubmatrix) -> bool | None:
+def check_scaled_matrix(block: Sequence[Sequence[Fraction]], genus: int) -> bool | None:
     """Diagnostic: is the evaluated 4x4 block a row/column rescaling of the
     integer reference matrix?  Never overrides the det5 verdict."""
-    computed = [row[:4] for row in submatrix.entries[:4]]
-    return _scaling_match(computed, reference_matrix(submatrix.genus))
+    computed = [row[:4] for row in block[:4]]
+    return _scaling_match(computed, reference_matrix(genus))
 
 
 def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
@@ -186,12 +167,11 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
     return Fraction(lead * squares, math.factorial(genus - 1)) * a ** (genus - 2)
 
 
-def check_tau_closed_form(submatrix: InductionSubmatrix, closed: Fraction) -> bool:
+def check_tau_closed_form(block: Sequence[Sequence[Fraction]], closed: Fraction) -> bool:
     """Exact comparison of tau at the projection node (the block's entry
-    [4][4]) with its closed form `closed`, which is
-    tau_closed_form(submatrix.genus, submatrix.a), plus the nonvanishing
-    assertion."""
-    value = submatrix.entries[4][4]
+    [4][4]) with its closed form `closed`, which is tau_closed_form(genus, a)
+    for the block's genus and a, plus the nonvanishing assertion."""
+    value = block[4][4]
     return value != 0 and value == closed
 
 
@@ -234,18 +214,19 @@ def verify_det5(genus: int, a: RationalLike) -> InductionReport:
     An inconclusive scaling diagnostic is reported as None.
     """
     a = parse_rational(a)
-    sub = build_induction_submatrix(genus, a)
-    det5 = det_exact(sub.entries)
+    block = build_induction_submatrix(genus, a)
+    det5 = det_exact(block)
     closed = tau_closed_form(genus, a)
     # Display convention: the even-parity closed form is usually quoted for
     # the swapped torsion order, i.e. with the opposite sign.
     displayed = -closed if genus % 2 == 0 else closed
     return InductionReport(
-        genus=genus, parity=sub.parity, a=a, node_index=sub.node_index,
-        selected_columns=sub.columns, det5=det5, det5_nonzero=det5 != 0,
-        scaled4x4_matches=check_scaled_matrix(sub),
-        tau_closed_form_matches=check_tau_closed_form(sub, closed),
-        tau_sign_matches_display=(sub.entries[4][4] == displayed),
+        genus=genus, parity="even" if genus % 2 == 0 else "odd", a=a,
+        node_index=projection_node_index(genus), selected_columns=selected_pairs(genus),
+        det5=det5, det5_nonzero=det5 != 0,
+        scaled4x4_matches=check_scaled_matrix(block, genus),
+        tau_closed_form_matches=check_tau_closed_form(block, closed),
+        tau_sign_matches_display=(block[4][4] == displayed),
     )
 
 

@@ -73,6 +73,7 @@ def rank_mod_p(source, p: int) -> int:
     the reduced rational matrix; only where the curve's data does not
     reduce mod p is its rational matrix built and reduced instead.
 
+    The modulus p must be one of FIELD_PRIMES (ValueError otherwise).
     Raises BadPrimeError if p divides an entry denominator of the matrix,
     in which case the caller should retry with the next prime.
     """

@@ -13,7 +13,7 @@ import pytest
 
 from prymgauss import (assemble_matrix, build_curve, builtin_params, certify,
                        classes_report, degeneracy_class, DivisorClass, grr_c1, hodge_c1,
-                       induction_sweep, kodaira_report, nu_closed_form,
+                       induction_sweep, kodaira_residual, nu_closed_form,
                        rank_exact, rank_mod_p, seeded_params, source_c1)
 from prymgauss.exact import FIELD_PRIMES
 from prymgauss.params import sweep_seed
@@ -134,8 +134,8 @@ def test_criterion_7_class_suite():
     assert hodge_c1(1) == D(1, 0, 0, Fraction(-1, 4)) == grr_c1(1, 1, False)
     assert degeneracy_class() == 55 * D(27, -4, -4, Fraction(-13, 2))
     assert degeneracy_class().interior_restriction() == 1485
-    residual = kodaira_report().residual
-    assert residual == D() and residual.is_effective()
+    residual = kodaira_residual()
+    assert residual == DivisorClass() and residual.is_effective()
     classes_report()
     elapsed = time.perf_counter() - start
     report(7, "divisor-class suite, exact equalities", elapsed < 1.0,

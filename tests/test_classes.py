@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymgauss import (DivisorClass, SurfaceClassExpr, classes_report, degeneracy_class,
-                       grr_c1, hodge_c1, kodaira_report, pushforward, source_c1,
+                       grr_c1, hodge_c1, kodaira_residual, pushforward, source_c1,
                        square_of_line_bundle)
+from prymgauss.classes import CANONICAL_CLASS, KOSZUL_DIVISOR
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -112,12 +113,11 @@ def test_degeneracy_antisymmetry():
 
 
 def test_kodaira_residual_is_zero_and_effective():
-    report = kodaira_report()
-    assert report.residual == D()
-    assert report.residual.is_zero()
-    assert report.residual_effective
-    assert report.koszul.lam == 364                # 56 * 13/2
-    assert report.canonical == D(13, -2, -2, -3)
+    residual = kodaira_residual()
+    assert residual == DivisorClass()
+    assert residual.is_effective()
+    assert KOSZUL_DIVISOR.lam == 364               # 56 * 13/2
+    assert CANONICAL_CLASS == D(13, -2, -2, -3)
 
 
 def test_classes_report_payload():

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from prymgauss import (build_induction_submatrix, check_scaled_matrix,
+from prymgauss import (assemble_matrix, build_induction_submatrix, check_scaled_matrix,
                        check_tau_closed_form, family_curve, induction_sweep,
                        selected_pairs, tau_closed_form, verify_det5)
-from prymgauss.induction import (even_reference_matrix, odd_reference_matrix,
-                                 reference_matrix)
-from prymgauss import InductionSubmatrix, assemble_matrix
+from prymgauss.induction import reference_matrix
 from prymgauss import curves, gaussmap
 from prymgauss import induction as induction_module
 from prymgauss.curves import projection_node_index
@@ -61,9 +59,9 @@ def test_family_curve_parameters():
 def test_submatrix_last_column_nu_entries_vanish():
     # the fifth pair avoids the projection index, so its nu rows are zero
     for g in (13, 14):
-        sub = build_induction_submatrix(g, 2)
-        assert all(sub.entries[p][4] == 0 for p in range(4))
-        assert sub.entries[4][4] != 0
+        block = build_induction_submatrix(g, 2)
+        assert all(block[p][4] == 0 for p in range(4))
+        assert block[4][4] != 0
 
 
 def test_submatrix_rows_match_assembled_matrix():
@@ -71,21 +69,21 @@ def test_submatrix_rows_match_assembled_matrix():
     # assembled matrix blocks on the same curve
     g = 13
     curve = family_curve(g, 2)
-    sub = build_induction_submatrix(g, 2)
+    block = build_induction_submatrix(g, 2)
     m = assemble_matrix(curve)
     r = projection_node_index(g)
     pt1 = curve.params(1)[r - 1]
     pt2 = curve.params(2)[r - 1]
     layout = m.layout
-    for q, pair in enumerate(sub.columns):
+    for q, pair in enumerate(selected_pairs(g)):
         row = m.entries[m.pairs.index(pair)]
         nu1 = row[slice(*layout["nu1"])]
         nu2 = row[slice(*layout["nu2"])]
-        assert sub.entries[0][q] == value(nu1, pt1)
-        assert sub.entries[1][q] == value(derivative(nu1), pt1)
-        assert sub.entries[2][q] == value(nu2, pt2)
-        assert sub.entries[3][q] == value(derivative(nu2), pt2)
-        assert sub.entries[4][q] == row[layout["tau_interior"][0] + r - 1]
+        assert block[0][q] == value(nu1, pt1)
+        assert block[1][q] == value(derivative(nu1), pt1)
+        assert block[2][q] == value(nu2, pt2)
+        assert block[3][q] == value(derivative(nu2), pt2)
+        assert block[4][q] == row[layout["tau_interior"][0] + r - 1]
 
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (15, 3), (16, Fraction(-5, 7))])
@@ -97,31 +95,31 @@ def test_det5_nonzero(g, a):
 
 
 def test_even_reference_row1():
-    assert even_reference_matrix(7)[0] == (-35, -42, -72, -65)
+    assert reference_matrix(14)[0] == (-35, -42, -72, -65)
 
 
 def test_odd_reference_row1():
-    assert odd_reference_matrix(6)[0] == (-35, -28, -4, -5)
+    assert reference_matrix(13)[0] == (-35, -28, -4, -5)
 
 
 def test_reference_determinants_nonzero_sweep():
     for k in range(6, 51):
-        for ref in (even_reference_matrix(k), odd_reference_matrix(k)):
+        for ref in (reference_matrix(2 * k), reference_matrix(2 * k + 1)):
             rows = [[Fraction(x) for x in row] for row in ref]
             assert det_exact(rows) != 0, (k, ref)
 
 
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (17, 3), (18, Fraction(-5, 7))])
 def test_scaled_matrix_diagnostic(g, a):
-    assert check_scaled_matrix(build_induction_submatrix(g, a)) is True
+    assert check_scaled_matrix(build_induction_submatrix(g, a), g) is True
 
 
 def test_scaling_test_detects_mismatch():
-    sub = build_induction_submatrix(14, 2)
+    block = build_induction_submatrix(14, 2)
     from prymgauss.induction import _scaling_match
     target = [list(row) for row in reference_matrix(14)]
     target[2][3] += 1
-    computed = [row[:4] for row in sub.entries[:4]]
+    computed = [row[:4] for row in block[:4]]
     assert _scaling_match(computed, target) is False
 
 
@@ -225,15 +223,15 @@ def test_jet_block_equals_wronskian_oracle(a):
     for g in range(13, 41):
         curve = family_curve(g, a)
         ref = Reference(curve)
-        sub = build_induction_submatrix(g, a)
+        block = build_induction_submatrix(g, a)
         r = projection_node_index(g)
         pt1, pt2 = curve.params(1)[r - 1], curve.params(2)[r - 1]
-        for q, (i, j) in enumerate(sub.columns):
+        for q, (i, j) in enumerate(selected_pairs(g)):
             (nu1, den1), (nu2, den2) = ref.nu(i, j, 1), ref.nu(i, j, 2)
             expected = (evaluate(nu1, pt1) / den1, evaluate(nu1.diff(), pt1) / den1,
                         evaluate(nu2, pt2) / den2, evaluate(nu2.diff(), pt2) / den2,
                         ref.tau(i, j, r))
-            assert tuple(sub.entries[p][q] for p in range(5)) == expected, (g, a, (i, j))
+            assert tuple(block[p][q] for p in range(5)) == expected, (g, a, (i, j))
 
 
 def test_verify_det5_builds_no_polynomial(monkeypatch):
@@ -250,22 +248,21 @@ def test_verify_det5_builds_no_polynomial(monkeypatch):
 def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
     calls = []
 
-    def inconclusive(submatrix):
-        calls.append((submatrix.genus, submatrix.a))
+    def inconclusive(block, genus):
+        calls.append((block, genus))
         return None
     monkeypatch.setattr(induction_module, "check_scaled_matrix", inconclusive)
     report = verify_det5(14, 2)
     assert report.scaled4x4_matches is None
     assert report.to_json_dict()["scaled4x4_matches"] is None
-    assert calls == [(14, 2)]
+    assert calls == [(build_induction_submatrix(14, 2), 14)]
     assert report.ok                       # diagnostics never override det5
 
 
 def test_check_tau_closed_form_reads_the_given_block():
-    sub = build_induction_submatrix(14, 2)
-    assert check_tau_closed_form(sub, tau_closed_form(14, 2))
-    entries = [list(row) for row in sub.entries]
+    block = build_induction_submatrix(14, 2)
+    assert check_tau_closed_form(block, tau_closed_form(14, 2))
+    entries = [list(row) for row in block]
     entries[4][4] += 1
-    tampered = InductionSubmatrix(sub.genus, sub.a, sub.parity, sub.node_index,
-                                  sub.columns, tuple(tuple(row) for row in entries))
+    tampered = tuple(tuple(row) for row in entries)
     assert not check_tau_closed_form(tampered, tau_closed_form(14, 2))

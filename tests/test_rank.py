@@ -209,15 +209,17 @@ def test_reduce_mod_p_matches_field_reduction():
         reduce_mod_p([[Fraction(1), Fraction(1, 2 * P)]], P)
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 2**31, 2**30, 97])
+@pytest.mark.parametrize("p", [2**61 - 1, 2**31, 2**30, 97, 32771 * 32779, 2**31 - 1])
 def test_modulus_outside_word_range_is_rejected(p):
-    # exact rank 1; an int64 elimination mod 2^61 - 1 overflows and reads 2
+    # exact rank 1; an int64 elimination mod 2^61 - 1 overflows and reads 2.
+    # 32771 * 32779 lies in (2^30, 2^31) but is composite, and 2^31 - 1 is
+    # prime but not a field prime: only FIELD_PRIMES are accepted.
     m = [[Fraction(1, 3), Fraction(1)], [Fraction(1), Fraction(3)]]
     with pytest.raises(ValueError, match="outside"):
         rank_mod_p(m, p)
     with pytest.raises(ValueError, match="outside"):
         assemble_mod_p(build_curve(5, *seeded_params(5, 0)), p)
-    assert rank_mod_p(m, 2**31 - 1) == 1 == rank_exact(m)
+    assert rank_mod_p(m, FIELD_PRIMES[-1]) == 1 == rank_exact(m)
 
 
 @st.composite
