@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -189,6 +188,8 @@ def cmd_curve_validate(args):
 
 
 def cmd_matrix_export(args):
+    import hashlib
+
     curve, fields = _curve(args, args.genus, args.seed)
     matrix = assemble_matrix(curve)
     canonical = matrix_to_json(matrix).encode("utf-8")     # what matrix_checksum hashes

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import RationalLike, format_rational, parse_rational
 
@@ -54,7 +54,7 @@ class PrymBinaryCurve:
     """Genus, convention and parameter rows, plus k and A2.
 
     Nothing else is stored: the coordinates are built from the parameters
-    when they are used (`coeff_pair`, `alpha_jet`, `_cleared_alphas`).
+    when they are used (`coeff_pair`, `alpha_jets`, `_cleared_alphas`).
     """
 
     def __init__(self, genus: int, a1: Sequence[Fraction], a2: Sequence[Fraction],
@@ -64,7 +64,8 @@ class PrymBinaryCurve:
         self.a1 = tuple(a1)
         self.a2 = tuple(a2)
         self.k = genus // 2
-        self.A2 = math.prod(self.a2, start=Fraction(1))
+        self.A2 = Fraction(math.prod(a.numerator for a in self.a2),
+                           math.prod(a.denominator for a in self.a2))
 
     # -- construction helpers ------------------------------------------
 
@@ -89,26 +90,36 @@ class PrymBinaryCurve:
             return self.a2
         raise ValueError(f"component index must be 1 or 2, got {eps}")
 
-    def alpha_jet(self, i: int, eps: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        """(alpha, alpha', alpha'') of alpha(i, eps) at x, from the parameters.
+    def alpha_jets(self, eps: int, x: Fraction, indices: Iterable[int]) -> dict[int, tuple]:
+        """{i: (alpha, alpha', alpha'')} of alpha(i, eps) at x, for each i in indices.
 
-        A running product q of x - a_s = e_s/w_s over s != i (x = n/m, a_s =
-        n_s/d_s, e_s = n d_s - n_s m, w_s = m d_s) carries W (q, q', q''),
-        W = prod w_s, over the integers by the product rule; nothing is divided,
-        so x may be a parameter.  O(g) integer operations and three Fractions.
+        With x = n/m, a_s = n_s/d_s, x - a_s = e_s/w_s (e_s = n d_s - n_s m,
+        w_s = m d_s), a forward pass keeps W (q, q', q''), W = prod w_s, of
+        q = prod_{s<i} (x - a_s) at each requested i, over the integers by the
+        product rule; a backward pass does so for s > i.  Each i joins its two
+        jets and the factor delta_i x - c_i by the product rule.  Nothing is
+        divided, so x may be a parameter.  Two O(g) passes, three Fractions per i.
         """
-        delta, c = self.coeff_pair(i, eps)
+        pairs = {i: self.coeff_pair(i, eps) for i in indices}
         n, m = x.numerator, x.denominator
-        Q, dQ, ddQ, W = 1, 0, 0, 1
-        for s, root in enumerate(self.params(eps), start=1):
-            if s != i:
-                e, w = n * root.denominator - root.numerator * m, m * root.denominator
+        factors = [(s, n * a.denominator - a.numerator * m, m * a.denominator)
+                   for s, a in enumerate(self.params(eps), start=1)]
+        kept: dict[int, list] = {i: [] for i in pairs}
+        for order in (factors, reversed(factors)):
+            Q, dQ, ddQ, W = 1, 0, 0, 1
+            for s, e, w in order:
+                if s in kept:
+                    kept[s].append((Q, dQ, ddQ, W))
                 Q, dQ, ddQ, W = Q * e, dQ * e + Q * w, ddQ * e + 2 * dQ * w, W * w
-        lin = delta * x - c
-        ln, ld = lin.numerator, lin.denominator
-        D = W * ld
-        return (Fraction(Q * ln, D), Fraction(dQ * ln + Q * delta * ld, D),
-                Fraction(ddQ * ln + 2 * dQ * delta * ld, D))
+        jets = {}
+        for i, ((P, dP, ddP, V), (S, dS, ddS, U)) in kept.items():
+            delta, c = pairs[i]
+            lin = delta * x - c
+            ln, ld = lin.numerator, lin.denominator
+            Q, dQ, ddQ, D = P * S, dP * S + P * dS, ddP * S + 2 * dP * dS + P * ddS, V * U * ld
+            jets[i] = (Fraction(Q * ln, D), Fraction(dQ * ln + Q * delta * ld, D),
+                       Fraction(ddQ * ln + 2 * dQ * delta * ld, D))
+        return jets
 
     def __repr__(self) -> str:
         return (f"PrymBinaryCurve(genus={self.genus}, convention={self.convention!r}, "

@@ -86,13 +86,13 @@ class BadPrimeError(ValueError):
 
 
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is one of FIELD_PRIMES.
+    """Raise ValueError unless p is one of FIELD_PRIMES, as an int (no float or numpy int).
 
     A composite modulus makes the residues a ring, not a field, so its rank
     is no lower bound; and below 2^31 a product of two residues stays below
     2^62, so the int64 arithmetic of the modular rank cannot overflow.
     """
-    if p not in FIELD_PRIMES:
+    if type(p) is not int or p not in FIELD_PRIMES:
         raise ValueError(f"modulus {p} outside FIELD_PRIMES; use a field prime")
 
 

@@ -48,7 +48,6 @@ module, so the exact routes and the serializers run without it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -392,4 +391,6 @@ def matrix_from_bytes(blob: bytes) -> GaussMatrix:
 
 def matrix_checksum(matrix: GaussMatrix) -> str:
     """SHA-256 of the canonical JSON serialization (regression anchor)."""
+    import hashlib
+
     return hashlib.sha256(matrix_to_json(matrix).encode("utf-8")).hexdigest()

@@ -13,10 +13,11 @@ and its columns are five selected pairs (i, j):
     even genus 2k:   (1,k)   (2,k)   (k,g-2)   (k,g-1)   (k-1,k+1)
     odd genus 2k+1:  (2,k+1) (3,k+1) (k+1,g-2) (k+1,g-1) (k-1,k+2)
 
-The block is built from jets, not polynomials: `PrymBinaryCurve.alpha_jet`
-gives (alpha_i, alpha_i', alpha_i'') at the node parameter from a running
-product of (t - a_s), s != i, in O(g) integer operations.  With one jet per
-distinct (index, component),
+The block is built from jets, not polynomials: per component, one call of
+`PrymBinaryCurve.alpha_jets` gives (alpha_i, alpha_i', alpha_i'') at the node
+parameter for every selected index i, from one prefix pass and one suffix
+pass over the products of (t - a_s), s < i and s > i, in O(g) integer
+operations.  With these jets,
 
     nu  = alpha_i alpha_j'  - alpha_j alpha_i',
     nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
@@ -67,7 +68,7 @@ def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
         raise ValueError("family parameter a must avoid 0 and 1")
     if genus < 13:
         raise ValueError(f"the induction step starts at genus 13, got {genus}")
-    a1 = [i * a for i in range(1, genus)]
+    a1 = [Fraction(i * a.numerator, a.denominator) for i in range(1, genus)]
     a2 = [Fraction(i) for i in range(1, genus)]
     return build_curve(genus, a1, a2, "paper")
 
@@ -84,25 +85,24 @@ def build_induction_submatrix(genus: int, a: RationalLike) -> tuple[tuple[Fracti
     """The 5x5 block as its rows, from alpha jets at the projection node.
 
     Column q belongs to the q-th pair of `selected_pairs(genus)`; its rows
-    are nu_1, nu_1', nu_2, nu_2' and tau.  One jet (alpha, alpha', alpha'')
-    per distinct (index, component) gives nu = a_i a_j' - a_j a_i',
+    are nu_1, nu_1', nu_2, nu_2' and tau.  One `alpha_jets` call per component
+    gives (alpha, alpha', alpha'') at each distinct index: nu = a_i a_j' - a_j a_i',
     nu' = a_i a_j'' - a_j a_i'' and tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2};
     no polynomial is built.
     """
     curve = family_curve(genus, a)
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
-    points = {eps: curve.params(eps)[r - 1] for eps in (1, 2)}
-    jets = {(i, eps): curve.alpha_jet(i, eps, points[eps])
-            for i in {i for pair in pairs for i in pair} for eps in (1, 2)}
+    indices = {i for pair in pairs for i in pair}
+    jets = {eps: curve.alpha_jets(eps, curve.params(eps)[r - 1], indices) for eps in (1, 2)}
     cols = []
     for (i, j) in pairs:
         col = []
         for eps in (1, 2):
-            ai, di, ddi = jets[(i, eps)]
-            aj, dj, ddj = jets[(j, eps)]
+            ai, di, ddi = jets[eps][i]
+            aj, dj, ddj = jets[eps][j]
             col += [ai * dj - aj * di, ai * ddj - aj * ddi]
-        col.append(jets[(j, 1)][1] * jets[(i, 2)][1] - jets[(i, 1)][1] * jets[(j, 2)][1])
+        col.append(jets[1][j][1] * jets[2][i][1] - jets[1][i][1] * jets[2][j][1])
         cols.append(col)
     return tuple(zip(*cols))
 

@@ -354,18 +354,25 @@ def test_console_entry_point():
 
 # Runs in a fresh interpreter (this one has loaded numpy already): imports the
 # package, then runs each command of argv[1] through cli.main with
-# `--json --no-timing`, and prints whether numpy was loaded after the import
-# and after each command, with each command's exit code and stdout sha256.
+# `--json --no-timing`, and prints whether numpy and hashlib were loaded at
+# the start, after the import and after each command, with each command's
+# exit code and stdout sha256.  hashlib itself is imported only at the end.
 _NUMPY_PROBE = r"""
-import contextlib, hashlib, io, json, sys
+import contextlib, io, json, sys
+loaded = lambda: {name: name in sys.modules for name in ("numpy", "hashlib")}
+result = {"at_start": loaded()}
 import prymgauss, prymgauss.cli
-result = {"after_import": "numpy" in sys.modules, "runs": []}
+result.update(after_import=loaded(), runs=[])
+outputs = []
 for command in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = prymgauss.cli.main(command.split() + ["--json", "--no-timing"])
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    result["runs"].append([command, code, digest, "numpy" in sys.modules])
+    outputs.append(out.getvalue())
+    result["runs"].append([command, code, loaded()])
+import hashlib
+for run, text in zip(result["runs"], outputs):
+    run.insert(2, hashlib.sha256(text.encode("utf-8")).hexdigest())
 print(json.dumps(result))
 """
 
@@ -383,13 +390,19 @@ def test_only_a_modular_rank_loads_numpy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["after_import"] is False
+    assert result["after_import"]["numpy"] is False
+    # neither the import nor induction loads hashlib; only a digest does
+    assert result["after_import"]["hashlib"] is result["at_start"]["hashlib"]
     assert [run[0] for run in result["runs"]] == free + [modular]
-    for command, code, digest, numpy_loaded in result["runs"]:
+    before = result["after_import"]
+    for command, code, digest, loaded in result["runs"]:
         assert code == 0, command
-        assert numpy_loaded is (command == modular), command
+        assert loaded["numpy"] is (command == modular), command
+        if command.startswith("induction"):
+            assert loaded["hashlib"] is before["hashlib"], command
         if command in GOLDEN_STDOUT_SHA256:
             assert digest == GOLDEN_STDOUT_SHA256[command], command
+        before = loaded
     assert (tmp_path / "m.bin").is_file() and (tmp_path / "m.json").is_file()
 
 
@@ -422,6 +435,10 @@ GOLDEN_STDOUT_SHA256 = {
     # pinned on the Fraction running-product jets that preceded integer-cleared jets
     "induction --g-min 13 --g-max 100":
         "7c3e1edd70e5ee6eea8a44b4aec4b4b4879190eeddded631d0a54143d7f4ab32",
+    # a fractional family value (the benchmark's seed-1 family), pinned on the
+    # jets that walked every parameter once per (index, component)
+    "induction --g-min 13 --g-max 100 --a=8 --a=9 --a=4/5":
+        "013faa00b4bcca915678e781b47921ef9827d226000e328e4990b9098b50cd17",
     # pinned before the commands shared one report runner
     "oracle --genus 9 --seed 3":
         "7083a05c60c51097a3dab6d1b021be1241e6d0e72fd6a8be06ffbffcd3ef7b58",

@@ -202,22 +202,22 @@ def test_curve_holds_only_its_parameters():
 
 
 def test_alpha_jet_matches_polynomial_derivatives():
-    # against the sympy construction of the coordinates, in both conventions
+    # against the sympy construction of the coordinates, in both conventions:
+    # every index in one call, at every parameter, at 0 and at 3/7
     a1, a2 = seeded_params(8, 6)
     for convention in ("script", "paper"):
         curve = build_curve(8, a1, a2, convention)
         ref = Reference(curve)
-        points = [Fraction(0), Fraction(3, 7), curve.a1[2], curve.a2[5]]
         for eps in (1, 2):
-            for i in range(1, 8):
-                poly = ref.alpha(i, eps)
-                jets = (poly, poly.diff(), poly.diff().diff())
-                for x in points:
-                    assert curve.alpha_jet(i, eps, x) == tuple(evaluate(p, x) for p in jets)
+            polys = {i: ref.alpha(i, eps) for i in range(1, 8)}
+            for x in curve.params(eps) + (Fraction(0), Fraction(3, 7)):
+                assert curve.alpha_jets(eps, x, range(1, 8)) == {
+                    i: tuple(evaluate(p, x) for p in (poly, poly.diff(), poly.diff().diff()))
+                    for i, poly in polys.items()}, (convention, eps, x)
 
 
 def fraction_jet(curve, i, eps, x):
-    """Reference for `alpha_jet`: the product rule over Fractions, one step per factor."""
+    """Reference for `alpha_jets`: the product rule over Fractions, one step per factor."""
     delta, c = curve.coeff_pair(i, eps)
     q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
     for s, root in enumerate(curve.params(eps), start=1):
@@ -229,9 +229,10 @@ def fraction_jet(curve, i, eps, x):
 
 
 def assert_jets_match(curve, eps, points):
-    for i in range(1, curve.genus):
-        for x in points:
-            assert curve.alpha_jet(i, eps, x) == fraction_jet(curve, i, eps, x), (i, eps, x)
+    indices = range(1, curve.genus)
+    for x in points:
+        assert curve.alpha_jets(eps, x, indices) == {
+            i: fraction_jet(curve, i, eps, x) for i in indices}, (eps, x)
 
 
 @st.composite
@@ -248,10 +249,17 @@ def random_curves(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_curves(), st.fractions(min_value=-60, max_value=60, max_denominator=30))
 def test_alpha_jet_matches_fraction_recurrence(curve_and_h, x):
-    # a_h is a zero factor for i != h and the skipped factor for i = h
-    curve, h = curve_and_h
+    # each a_h is a zero factor for i != h and the skipped factor for i = h
+    curve, _ = curve_and_h
     for eps in (1, 2):
-        assert_jets_match(curve, eps, (curve.params(eps)[h - 1], Fraction(0), x))
+        assert_jets_match(curve, eps, curve.params(eps) + (Fraction(0), x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_curves())
+def test_A2_is_the_product_of_the_second_row(curve_and_h):
+    curve, _ = curve_and_h
+    assert curve.A2 == math.prod(curve.a2)
 
 
 @pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7)])
@@ -260,12 +268,22 @@ def test_alpha_jet_matches_fraction_recurrence_at_family_node(g, a):
     curve = family_curve(g, a)
     r = projection_node_index(g)
     for eps in (1, 2):
-        assert_jets_match(curve, eps, [curve.params(eps)[r - 1]])
+        assert_jets_match(curve, eps, [curve.params(eps)[r - 1], Fraction(0), Fraction(-11, 13)])
 
 
 @pytest.mark.parametrize("i", [0, 5, -1])
-def test_coordinate_index_out_of_range(g5_curve, i):
+def test_coordinate_index_out_of_range(g5_curve, monkeypatch, i):
     with pytest.raises(ValueError):
         g5_curve.coeff_pair(i, 1)
-    with pytest.raises(ValueError):
-        g5_curve.alpha_jet(i, 2, Fraction(1))
+    def refuse(eps):
+        raise AssertionError("a product was formed")
+    monkeypatch.setattr(g5_curve, "params", refuse)    # the rows are read only after the check
+    for indices in ([i], [1, i], [i, 4, 2]):
+        with pytest.raises(ValueError, match="coordinate index"):
+            g5_curve.alpha_jets(2, Fraction(1), indices)
+
+
+def test_alpha_jets_duplicate_and_empty_indices(g5_curve):
+    assert g5_curve.alpha_jets(1, Fraction(5, 2), []) == {}
+    jets = g5_curve.alpha_jets(1, Fraction(5, 2), [3, 1, 3, 1])
+    assert jets == {i: fraction_jet(g5_curve, i, 1, Fraction(5, 2)) for i in (1, 3)}

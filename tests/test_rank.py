@@ -209,11 +209,13 @@ def test_reduce_mod_p_matches_field_reduction():
         reduce_mod_p([[Fraction(1), Fraction(1, 2 * P)]], P)
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 2**31, 2**30, 97, 32771 * 32779, 2**31 - 1])
+@pytest.mark.parametrize("p", [2**61 - 1, 2**31, 2**30, 97, 32771 * 32779, 2**31 - 1,
+                               1073741827.0, True, np.int64(FIELD_PRIMES[0])])
 def test_modulus_outside_word_range_is_rejected(p):
     # exact rank 1; an int64 elimination mod 2^61 - 1 overflows and reads 2.
     # 32771 * 32779 lies in (2^30, 2^31) but is composite, and 2^31 - 1 is
-    # prime but not a field prime: only FIELD_PRIMES are accepted.
+    # prime but not a field prime: only FIELD_PRIMES are accepted, and only as
+    # an int (a float or numpy integer equal to one is not).
     m = [[Fraction(1, 3), Fraction(1)], [Fraction(1), Fraction(3)]]
     with pytest.raises(ValueError, match="outside"):
         rank_mod_p(m, p)
