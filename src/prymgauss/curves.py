@@ -129,7 +129,7 @@ class PrymBinaryCurve:
 
 def build_curve(genus: int, a1: Sequence[RationalLike], a2: Sequence[RationalLike],
                 convention: str = "paper") -> PrymBinaryCurve:
-    """Validate parameters and materialize the curve.
+    """Validate parameters from outside the package and materialize the curve.
 
     Raises ParameterError naming the offending index pair on any violated
     invariant (duplicate or zero entries within a row, wrong row length).
@@ -249,9 +249,9 @@ def projection_node_index(genus: int) -> int:
 def project_node(curve: PrymBinaryCurve) -> PrymBinaryCurve:
     """Project away node P_r, producing the genus-(g-1) curve.
 
-    The parameter rows simply drop index r; the result uses the same
-    convention.  Genus 3 cannot be projected (the image would fall below
-    the supported genus floor).
+    The parameter rows drop index r, so they stay valid and are not checked
+    again; the result uses the same convention.  Genus 3 cannot be projected
+    (the image would fall below the supported genus floor).
     """
     g = curve.genus
     if g < 4:
@@ -259,5 +259,5 @@ def project_node(curve: PrymBinaryCurve) -> PrymBinaryCurve:
     r = projection_node_index(g)
     a1 = curve.a1[:r - 1] + curve.a1[r:]
     a2 = curve.a2[:r - 1] + curve.a2[r:]
-    return build_curve(g - 1, a1, a2, curve.convention)
+    return PrymBinaryCurve(g - 1, a1, a2, curve.convention)
 

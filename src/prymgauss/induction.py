@@ -28,25 +28,24 @@ their derivatives and of its tau column at P_r on the same curve (the tests
 check the block against a sympy construction of the coordinates).
 
 Both nu rows of the last column vanish (its indices avoid r), so
-det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  det5 != 0 is
-the authoritative verdict.  Two diagnostics accompany it:
+det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  The verdict
+(`InductionReport.ok`, and the exit code of `induction`) is det5 != 0 and
+tau(P_r) equal to its closed form (`check_tau_closed_form`)
+
+    even:  -2 k (k+1) a^(g-2) / A2 * prod_{l != k-1,k,k+1} (k-l)^2
+    odd:   -4 (k+1)(k+2) a^(g-2) / A2 * prod_{l != k-1,k+1,k+2} (k+1-l)^2
+
+(l runs over 1..g-1; A2 = (g-1)!), whose signs are those of the torsion
+order used throughout this package (j-derivative on component 1 first).
+Two diagnostics are reported and never change `ok` or the exit code:
 
 * `check_scaled_matrix` asks whether the evaluated 4x4 block equals the
   built-in integer reference matrix up to nonzero row and column scalings
   (a rank-1 scaling test, equivalent to replaying the hand simplification
   without re-deriving every division step);
-* `check_tau_closed_form` compares tau_{..}(P_r) against its closed form
-
-    even:  -2 k (k+1) a^(g-2) / A2 * prod_{l != k-1,k,k+1} (k-l)^2
-    odd:   -4 (k+1)(k+2) a^(g-2) / A2 * prod_{l != k-1,k+1,k+2} (k+1-l)^2
-
-  (l runs over 1..g-1; A2 = (g-1)!).  The signs above are the ones produced
-  by the torsion order used throughout this package (j-derivative on
-  component 1 first); the even-parity value is often quoted with the
-  opposite sign, which belongs to the swapped order, so the report carries
-  a separate `tau_sign_matches_display` diagnostic for it.
-
-Diagnostic failures are reported loudly but never override det5.
+* `tau_sign_matches_display` compares tau(P_r) with the closed form as it
+  is often quoted: for even genus with the opposite sign, which belongs to
+  the swapped torsion order.
 """
 
 from __future__ import annotations
@@ -56,13 +55,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import PrymBinaryCurve, build_curve, projection_node_index
+from .curves import PrymBinaryCurve, projection_node_index
 from .exact import RationalLike, format_rational, parse_rational
 from .rank import det_exact
 
 
 def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
-    """The induction family: a_{i,1} = i*a, a_{i,2} = i, paper convention."""
+    """The induction family a_{i,1} = i*a, a_{i,2} = i, paper convention.  With
+    a != 0 each row is nonzero and distinct, so the rows are not checked again."""
     a = parse_rational(a)
     if a in (0, 1):
         raise ValueError("family parameter a must avoid 0 and 1")
@@ -70,7 +70,7 @@ def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
         raise ValueError(f"the induction step starts at genus 13, got {genus}")
     a1 = [Fraction(i * a.numerator, a.denominator) for i in range(1, genus)]
     a2 = [Fraction(i) for i in range(1, genus)]
-    return build_curve(genus, a1, a2, "paper")
+    return PrymBinaryCurve(genus, a1, a2, "paper")
 
 
 def selected_pairs(genus: int) -> tuple[tuple[int, int], ...]:
@@ -148,7 +148,7 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
 
 def check_scaled_matrix(block: Sequence[Sequence[Fraction]], genus: int) -> bool | None:
     """Diagnostic: is the evaluated 4x4 block a row/column rescaling of the
-    integer reference matrix?  Never overrides the det5 verdict."""
+    integer reference matrix?  Never changes the verdict."""
     computed = [row[:4] for row in block[:4]]
     return _scaling_match(computed, reference_matrix(genus))
 
@@ -190,7 +190,7 @@ class InductionReport:
 
     @property
     def ok(self) -> bool:
-        """Authoritative verdict only; diagnostics never override det5."""
+        """det5 != 0 and tau(P_r) equal to its closed form; diagnostics never change it."""
         return self.det5_nonzero and self.tau_closed_form_matches
 
     def to_json_dict(self) -> dict:
@@ -209,7 +209,7 @@ class InductionReport:
 
 
 def verify_det5(genus: int, a: RationalLike) -> InductionReport:
-    """Compute det5 exactly and run both diagnostics on the same block.
+    """The verdict (det5, tau(P_r) against its closed form) and both diagnostics.
 
     An inconclusive scaling diagnostic is reported as None.
     """

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -528,6 +530,21 @@ def run_cli_exit(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """The `prymgauss ...` lines of the README's Examples block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExamples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("prymgauss ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_examples_exit_0(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)     # matrix export writes its relative --out here
+    code, _, err = run_cli_exit(capsys, *argv)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [

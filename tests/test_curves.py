@@ -186,6 +186,23 @@ def test_project_genus3_unsupported():
         project_node(c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 20), st.integers(0, 10**6), st.sampled_from(["paper", "script"]))
+def test_projected_rows_pass_the_validator(g, seed, convention):
+    # project_node builds its rows without build_curve; they must be ones it accepts
+    proj = project_node(build_curve(g, *seeded_params(g, seed), convention))
+    checked = build_curve(g - 1, proj.a1, proj.a2, proj.convention)
+    assert (checked.a1, checked.a2, checked.convention) == (proj.a1, proj.a2, convention)
+
+
+def test_project_node_does_not_revalidate(monkeypatch):
+    c = build_curve(9, *seeded_params(9, 13))
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_curve called")
+    monkeypatch.setattr(curves, "build_curve", refuse)
+    assert project_node(c).genus == 8
+
+
 def test_build_curve_builds_no_polynomial(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial built")

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prymgauss import (assemble_matrix, build_induction_submatrix, check_scaled_matrix,
-                       check_tau_closed_form, family_curve, induction_sweep,
+from prymgauss import (assemble_matrix, build_curve, build_induction_submatrix,
+                       check_scaled_matrix, check_tau_closed_form, family_curve, induction_sweep,
                        selected_pairs, tau_closed_form, verify_det5)
 from prymgauss.induction import reference_matrix
 from prymgauss import curves, gaussmap
@@ -54,6 +56,28 @@ def test_family_curve_parameters():
     assert c.a1 == tuple(Fraction(-5 * i, 7) for i in range(1, 13))
     assert c.a2 == tuple(Fraction(i) for i in range(1, 13))
     assert c.convention == "paper"
+
+
+family_values = st.one_of(st.integers(-10**4, 10**4),
+                          st.fractions(min_value=-10**3, max_value=10**3, max_denominator=97)
+                          ).filter(lambda a: a not in (0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(13, 60), family_values)
+def test_family_rows_pass_the_validator(g, a):
+    # family_curve builds its rows without build_curve; they must be ones it accepts
+    c = family_curve(g, a)
+    checked = build_curve(g, c.a1, c.a2)
+    assert (checked.a1, checked.a2, checked.convention) == (c.a1, c.a2, c.convention)
+
+
+def test_family_curve_does_not_revalidate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_curve called")
+    monkeypatch.setattr(curves, "build_curve", refuse)
+    monkeypatch.setattr(induction_module, "build_curve", refuse, raising=False)
+    assert verify_det5(13, Fraction(-5, 7)).ok
 
 
 def test_submatrix_last_column_nu_entries_vanish():
