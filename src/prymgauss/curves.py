@@ -132,10 +132,11 @@ def build_curve(genus: int, a1: Sequence[RationalLike], a2: Sequence[RationalLik
     """Validate parameters from outside the package and materialize the curve.
 
     Raises ParameterError naming the offending index pair on any violated
-    invariant (duplicate or zero entries within a row, wrong row length).
+    invariant (duplicate or zero entries within a row, wrong row length, a
+    genus that is not an int >= 3; a bool is not an int here).
     """
-    if genus < 3:
-        raise ParameterError(f"genus must be >= 3, got {genus}")
+    if type(genus) is not int or genus < 3:
+        raise ParameterError(f"genus must be an int >= 3, got {genus!r}")
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     rows = {}

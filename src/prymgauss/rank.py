@@ -1,7 +1,7 @@
 """Exact rank certification for Gaussian-map matrices.
 
 Both rank steps take a curve, a GaussMatrix or a sequence of rational
-rows; given a curve, they build its rational matrix only where they must.
+rows; a curve's rational matrix is never built, at any prime or policy.
 
 * `rank_mod_p` — row echelon over a word-sized prime field.  This is a sound
   *lower* bound for the rational rank (reduction can only collapse rows), so
@@ -39,7 +39,8 @@ modular run reaches the maximum; "exact" is the same loop with no modular
 attempt, so it goes straight to Bareiss.  Runs are sequential, so
 certificates are identical no matter how callers schedule them; the seed
 fixes the prime sequence (offset into the fixed prime list).  A curve and
-its matrix have the same ranks, so they get the same certificate.
+its matrix get the same certificate, unless a prime divides a denominator
+of the curve's data and of no matrix entry: only the matrix uses it.
 
 This module does not import numpy.  The modular route loads it at its
 first array (`gaussmap.assemble_mod_p`, `exact.reduce_mod_p`), and
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Sequence
 from .curves import PrymBinaryCurve
 from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators,
                     reduce_mod_p)
-from .gaussmap import _cleared_rows, assemble_matrix, assemble_mod_p, matrix_shape
+from .gaussmap import _cleared_rows, assemble_mod_p, matrix_shape
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,18 +71,14 @@ def rank_mod_p(source, p: int) -> int:
 
     `source` is a curve, a GaussMatrix or a sequence of rational rows.  A
     curve's image mod p is `gaussmap.assemble_mod_p`, which has the rank of
-    the reduced rational matrix; only where the curve's data does not
-    reduce mod p is its rational matrix built and reduced instead.
+    the reduced rational matrix; its rational matrix is never built.
 
     The modulus p must be one of FIELD_PRIMES (ValueError otherwise).
-    Raises BadPrimeError if p divides an entry denominator of the matrix,
-    in which case the caller should retry with the next prime.
+    Raises BadPrimeError if p divides a denominator of the entries or of
+    the curve's data; the caller should then retry with the next prime.
     """
     if isinstance(source, PrymBinaryCurve):
-        try:
-            return _echelon_rank(assemble_mod_p(source, p), p)
-        except BadPrimeError:
-            source = assemble_matrix(source)
+        return _echelon_rank(assemble_mod_p(source, p), p)
     return _echelon_rank(reduce_mod_p(source, p), p)
 
 
@@ -256,13 +253,14 @@ MODULAR_ATTEMPTS = 3
 def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
     """Certify the rank with the strongest sound claim.
 
-    `source` is a curve, a GaussMatrix, or a sequence of rational rows; it
-    is passed as it is to `rank_mod_p` and `rank_exact`, so a curve is
-    certified without its rational matrix (see the module docstring).
+    `source` is a curve, a GaussMatrix, or a sequence of rational rows,
+    passed as it is to `rank_mod_p` (bad primes are skipped) and `rank_exact`,
+    so `rank`, `sweep` and `certify(curve)` never build a rational matrix.
 
     fast:  run modular ranks at up to MODULAR_ATTEMPTS good primes; the
            first one equal to min(rows, cols) certifies maximality.  If none
-           reaches it, fall back to the exact path (method "both").
+           reaches it, fall back to the exact path: method "both", or
+           "bareiss" if every prime was bad.
     exact: fraction-free elimination only (method "bareiss").
     """
     if policy not in ("fast", "exact"):
@@ -299,5 +297,5 @@ def certify(source, policy: str = "fast", seed: int = 0) -> RankCertificate:
         raise AssertionError(
             f"exact rank {rank} below a modular lower bound {best_modular}: arithmetic bug")
     return RankCertificate(genus, rank, maxp, rank == maxp,
-                           "both" if policy == "fast" else "bareiss", tuple(primes_used),
+                           "both" if primes_used else "bareiss", tuple(primes_used),
                            time.perf_counter() - start)

@@ -69,6 +69,14 @@ def test_genus_floor():
         build_curve(2, [1], [2])
 
 
+@pytest.mark.parametrize("genus", [5.0, "5", True, Fraction(5)])
+def test_genus_must_be_an_int(genus):
+    # 5.0 used to build a curve that certify, node_check and assemble_matrix
+    # then refused with TypeError
+    with pytest.raises(ParameterError, match="genus must be an int >= 3"):
+        build_curve(genus, [1, 2, 3, 4], [2, 4, 6, 8])
+
+
 def test_unknown_convention_rejected():
     with pytest.raises(ParameterError):
         build_curve(5, [1, 2, 3, 4], [2, 4, 6, 8], "mystery")

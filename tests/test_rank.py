@@ -1,6 +1,8 @@
 """rank-engine: modular and fraction-free ranks, certificates."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
                        assemble_mod_p, build_curve, builtin_params, certify, matrix_checksum,
                        rank_exact, rank_mod_p, reduce_mod_p, seeded_params)
+from prymgauss import gaussmap
 from prymgauss import rank as rank_module
 from prymgauss.exact import clear_denominators
 from prymgauss.induction import family_curve
@@ -537,6 +540,17 @@ def same_certificate(curve, **kwargs):
     return from_curve
 
 
+def refuse_rational_matrix(monkeypatch):
+    """Make gaussmap.assemble_matrix raise, under every name a prymgauss
+    module binds it to, so that no route can build the rational matrix."""
+    def refuse(*args):
+        raise AssertionError("rational matrix assembled")
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "prymgauss" and hasattr(module, "assemble_matrix"):
+            monkeypatch.setattr(module, "assemble_matrix", refuse)
+    assert gaussmap.assemble_matrix is refuse
+
+
 @pytest.mark.parametrize("genus,seed", [
     (3, 1), (4, 0), (5, 2), (6, 4), (7, 3), (8, 6), (9, 7), (10, 8), (11, 5), (12, 1),
     (13, 2), (14, 3), (15, 4), (16, 9), (17, 5), (18, 6), (19, 7), (20, 8), (21, 9)])
@@ -550,26 +564,72 @@ def test_certify_curve_equals_certify_matrix(genus, seed):
             assert rank_exact(curve) == rank_exact(assemble_matrix(curve)) == cert["rank"]
 
 
-def test_certify_curve_falls_back_to_rational_reduction_at_a_bad_prime():
-    # a1_1 has denominator P: the curve's data does not reduce mod P, so P
-    # goes through the rational matrix, which P also fails to reduce.
+def test_certify_curve_skips_a_prime_at_which_its_data_does_not_reduce():
+    # a1_1 has denominator P: neither the curve's data nor its rational
+    # matrix reduces mod P, so both skip P and certify at the next prime.
     curve = build_curve(5, [Fraction(1, P), 2, 3, 4], [5, -7, Fraction(1, 2), 9])
     with pytest.raises(BadPrimeError):
         rank_mod_p(curve, P)
+    with pytest.raises(BadPrimeError):
+        rank_mod_p(assemble_matrix(curve), P)
     cert = same_certificate(curve, seed=0)
     assert cert["primes_used"] == [FIELD_PRIMES[1]]
 
 
-def test_certify_curve_reduces_the_rational_matrix_where_the_curve_data_does_not():
+def test_certify_curve_skips_a_prime_at_which_only_its_matrix_reduces():
     # a2_1 = 3/P: the curve's data does not reduce mod P, but no entry of the
-    # rational matrix has P in its denominator, so P still certifies
+    # rational matrix has P in its denominator.  The curve skips P, as at any
+    # bad prime, and its matrix certifies at P: the one input class where
+    # the two certificates differ, in primes_used only.
     curve = build_curve(3, [1, 2], [Fraction(3, P), 5])
+    matrix = assemble_matrix(curve)
     with pytest.raises(BadPrimeError):
         assemble_mod_p(curve, P)
-    assert reduce_mod_p(assemble_matrix(curve), P).shape == (1, 10)
-    assert rank_mod_p(curve, P) == 1 == rank_mod_p(assemble_matrix(curve), P)
-    cert = same_certificate(curve, seed=0)
-    assert cert["rank"] == 1 and cert["method"] == "modular" and cert["primes_used"] == [P]
+    with pytest.raises(BadPrimeError):
+        rank_mod_p(curve, P)
+    assert rank_mod_p(matrix, P) == 1
+    from_curve = certify(curve, seed=0).to_json_dict(with_timing=False)
+    from_matrix = certify(matrix, seed=0).to_json_dict(with_timing=False)
+    assert from_curve["primes_used"] == [FIELD_PRIMES[1]] and from_matrix["primes_used"] == [P]
+    assert {**from_curve, "primes_used": [P]} == from_matrix
+    assert from_matrix["rank"] == 1 and from_matrix["is_maximal"] and from_matrix["method"] == "modular"
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus=st.integers(3, 9), seed=st.integers(0, 10**6), row=st.sampled_from(["a1", "a2"]),
+       convention=st.sampled_from(["paper", "script"]),
+       part=st.sampled_from(["numerator", "denominator"]), data=st.data())
+def test_certify_curve_with_a_planted_prime(genus, seed, row, convention, part, data):
+    # one parameter gets the factor P: the curve's data may then fail to
+    # reduce mod P, and certify must skip P without building the matrix
+    rows = dict(zip(("a1", "a2"), seeded_params(genus, seed)))
+    idx = data.draw(st.integers(0, genus - 2))
+    x = rows[row][idx]
+    x = Fraction(x.numerator * P, x.denominator) if part == "numerator" \
+        else Fraction(x.numerator, x.denominator * P)
+    rows[row] = rows[row][:idx] + (x,) + rows[row][idx + 1:]
+    curve = build_curve(genus, rows["a1"], rows["a2"], convention)
+    from_matrix = certify(assemble_matrix(curve))
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_rational_matrix(mp)
+        cert = certify(curve)
+        assert cert.rank == rank_exact(curve)
+    assert (cert.rank, cert.is_maximal) == (from_matrix.rank, from_matrix.is_maximal)
+    for p in cert.primes_used:
+        assemble_mod_p(curve, p)            # BadPrimeError at a bad prime
+
+
+@pytest.mark.parametrize("to_matrix", [False, True])
+def test_certificate_without_a_good_prime_reads_bareiss(to_matrix):
+    # a1_1 = 1/(product of FIELD_PRIMES): every prime is bad, so no modular
+    # rank runs and the fast certificate is the exact one
+    curve = build_curve(5, [Fraction(1, math.prod(FIELD_PRIMES)), 2, 3, 4],
+                        [5, -7, Fraction(1, 2), 9])
+    source = assemble_matrix(curve) if to_matrix else curve
+    fast = certify(source).to_json_dict(with_timing=False)
+    assert fast == certify(source, policy="exact").to_json_dict(with_timing=False)
+    assert fast["method"] == "bareiss" and fast["primes_used"] == []
+    assert fast["rank"] == 6 and fast["is_maximal"]
 
 
 def test_certify_curve_lazy_bareiss_fallback():
@@ -588,9 +648,7 @@ def test_certify_curve_exact_policy():
 
 
 def test_certify_curve_builds_no_rational_matrix_on_the_modular_route(monkeypatch):
-    def refuse(curve):
-        raise AssertionError("rational matrix assembled")
-    monkeypatch.setattr(rank_module, "assemble_matrix", refuse)
+    refuse_rational_matrix(monkeypatch)
     a1, a2 = seeded_params(14, 1)
     cert = certify(build_curve(14, a1, a2), seed=1)
     assert cert.method == "modular" and cert.rank == 65 and cert.genus == 14
@@ -630,9 +688,10 @@ def test_certify_curve_on_proportional_parameter_rows(genus):
 def test_certify_curve_exact_policy_builds_no_rational_matrix_and_no_residue(monkeypatch):
     # nor clears the curve's integer rows again
     def refuse(*args):
-        raise AssertionError("rational matrix, residues or clearing on the exact route")
-    for name in ("assemble_matrix", "reduce_mod_p", "_echelon_rank", "clear_denominators"):
+        raise AssertionError("residues or clearing on the exact route")
+    for name in ("reduce_mod_p", "_echelon_rank", "clear_denominators"):
         monkeypatch.setattr(rank_module, name, refuse)
+    refuse_rational_matrix(monkeypatch)
     cert = certify(build_curve(8, *seeded_params(8, 2)), policy="exact")
     assert cert.method == "bareiss" and cert.rank == 21 and cert.is_maximal
     # 55x55 of full rank: every row and column of the cleared matrix counts
@@ -641,12 +700,16 @@ def test_certify_curve_exact_policy_builds_no_rational_matrix_and_no_residue(mon
 
 
 def test_certify_curve_builds_no_rational_matrix_on_the_fallback(monkeypatch):
-    def refuse(curve):
-        raise AssertionError("rational matrix assembled")
-    monkeypatch.setattr(rank_module, "assemble_matrix", refuse)
+    refuse_rational_matrix(monkeypatch)
     _, a2 = seeded_params(8, 0)
     cert = certify(build_curve(8, [2 * x for x in a2], a2))
     assert cert.method == "both" and cert.rank == 18 and len(cert.primes_used) == 3
+    # nor at a bad prime: with a2_1 = 1/P, the curve's data does not reduce
+    # mod P, which is skipped
+    a2 = (Fraction(1, P), *a2[1:])
+    cert = certify(build_curve(8, [2 * x for x in a2], a2))
+    assert cert.method == "both" and cert.rank == 18
+    assert cert.primes_used == FIELD_PRIMES[1:4]
 
 
 def test_certify_calls_rank_mod_p_once_per_prime_tried(monkeypatch):
