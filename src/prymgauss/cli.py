@@ -24,7 +24,7 @@ import time
 from . import __version__
 from .curves import ParameterError, build_curve, node_check
 from .exact import format_rational, parse_rational
-from .gaussmap import assemble_matrix, matrix_to_bytes, matrix_to_json, nu_closed_form
+from .gaussmap import assemble_matrix, matrix_shape, matrix_to_bytes, matrix_to_json, nu_closed_form
 from .induction import sweep as induction_sweep
 from .classes import classes_report
 from .params import builtin_params, params_from_file, seeded_params, sweep_seed
@@ -80,6 +80,20 @@ def _curve(args, genus: int, seed: int):
     }
 
 
+MAX_CELLS = 2 ** 20
+
+
+def _check_size(args, genus: int) -> None:
+    """Refuse, before any curve is built, a genus whose matrix has more than MAX_CELLS
+    cells: the square row prefix for rank and sweep (genus <= 205), the whole
+    matrix for --policy exact, oracle and matrix export (genus <= 76)."""
+    rows, cols = matrix_shape(genus)
+    rows = min(rows, cols) if getattr(args, "policy", None) == "fast" else rows
+    if genus >= 3 and rows * cols > MAX_CELLS:
+        raise ParameterError(f"{args.name} at genus {genus} builds a {rows}x{cols} matrix, "
+                             f"above the limit of {MAX_CELLS} cells")
+
+
 def _check_range(args) -> None:
     if args.g_min > args.g_max:
         raise ParameterError(f"--g-min {args.g_min} exceeds --g-max {args.g_max}")
@@ -90,6 +104,7 @@ def _check_range(args) -> None:
 # the verdict to the exit code.
 
 def cmd_rank(args):
+    _check_size(args, args.genus)
     curve, fields = _curve(args, args.genus, args.seed)
     cert = certify(curve, policy=args.policy, seed=args.seed)
     fields["certificate"] = cert.to_json_dict(with_timing=not args.no_timing)
@@ -101,6 +116,7 @@ def cmd_rank(args):
 
 def cmd_sweep(args):
     _check_range(args)
+    _check_size(args, args.g_max)
     if args.params and args.g_min != args.g_max:
         raise ParameterError(f"a parameter file fixes one genus; sweep range "
                              f"{args.g_min}..{args.g_max} spans more than one")
@@ -119,6 +135,7 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
+    _check_size(args, args.genus)
     curve, fields = _curve(args, args.genus, args.seed)
     if curve.convention != "paper":
         raise ParameterError("oracle requires the paper convention "
@@ -190,6 +207,7 @@ def cmd_curve_validate(args):
 def cmd_matrix_export(args):
     import hashlib
 
+    _check_size(args, args.genus)
     curve, fields = _curve(args, args.genus, args.seed)
     matrix = assemble_matrix(curve)
     canonical = matrix_to_json(matrix).encode("utf-8")     # what matrix_checksum hashes

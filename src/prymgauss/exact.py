@@ -151,6 +151,15 @@ def _inverse_mod_p(values: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+def mod_p(x, p: int):
+    """x % p for an int64 array with |x| < 2^62, as x - (x // p) * p, which numpy
+    computes faster than `%` above about 400 elements.  `x` is not modified."""
+    q = x // p
+    q *= -p
+    q += x
+    return q
+
+
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """(integers, column_dens): the matrix times the diagonal matrix of its
     column denominators, each the lcm of the denominators in its column.

@@ -37,9 +37,10 @@ B = prod_{r != i, j} (t - a_r)):
 blocks of `assemble_matrix` against it.
 
 `assemble_mod_p` builds the image of the same map over Z/pZ without any
-rational arithmetic.  It samples each nu_{ij,h} at the 2g-3 points
-0..2g-4 (`evaluation_points`) instead of storing its coefficients, so its
-array equals reduce_p(M) * blockdiag(V, V, I), where V[d, k] = x_k^d is the
+rational arithmetic, whole or only its first rows (the fast rank's square
+prefix).  It samples each nu_{ij,h} at the 2g-3 points 0..2g-4
+(`evaluation_points`) instead of storing its coefficients, so its array
+equals reduce_p(M) * blockdiag(V, V, I), where V[d, k] = x_k^d is the
 Vandermonde matrix of the points.  V is invertible mod p (the points are
 distinct and p > 2g), so the rank mod p is the rank of reduce_p(M).  numpy
 is imported inside `assemble_mod_p` and `_cofactors_mod_p`, not with the
@@ -55,7 +56,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .curves import CONVENTIONS, PrymBinaryCurve, _cleared_alphas, _homogeneous_value
-from .exact import format_rational, parse_rational, reduce_mod_p
+from .exact import format_rational, mod_p, parse_rational, reduce_mod_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -201,44 +202,43 @@ def evaluation_points(genus: int) -> tuple[int, ...]:
 
 def _cofactors_mod_p(points: np.ndarray, roots: np.ndarray,
                      p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q[k, i] = prod_{r != i} (x_k - roots_r) mod p, and dQ/dt at x_k.
-
-    Built from prefix and suffix products and their derivatives (product
-    rule), so nothing is divided and a point may equal a root.
-    """
+    """Q[i, h, k] = prod_{r != i} (x_{h,k} - roots_{h,r}) mod p, and dQ/dt there,
+    for points (2, m) and roots (2, n), one row per component.  Built from
+    prefix and suffix products and their derivatives (product rule), so
+    nothing is divided and a point may equal a root."""
     import numpy as np
 
-    diff = (points[:, None] - roots[None, :]) % p
-    m, n = diff.shape
-    pre = np.ones((m, n + 1), dtype=np.int64)
-    dpre = np.zeros((m, n + 1), dtype=np.int64)
-    suf = np.ones((m, n + 1), dtype=np.int64)
-    dsuf = np.zeros((m, n + 1), dtype=np.int64)
+    diff = (points[None, :, :] - roots.T[:, :, None]) % p
+    n = len(diff)
+    pre = np.ones((n + 1, *diff.shape[1:]), dtype=np.int64)
+    dpre = np.zeros_like(pre)
+    suf = np.ones_like(pre)
+    dsuf = np.zeros_like(pre)
     for r in range(n):
-        pre[:, r + 1] = pre[:, r] * diff[:, r] % p
-        dpre[:, r + 1] = (dpre[:, r] * diff[:, r] + pre[:, r]) % p
+        pre[r + 1] = pre[r] * diff[r] % p
+        dpre[r + 1] = (dpre[r] * diff[r] + pre[r]) % p
         s = n - 1 - r
-        suf[:, s] = suf[:, s + 1] * diff[:, s] % p
-        dsuf[:, s] = (dsuf[:, s + 1] * diff[:, s] + suf[:, s + 1]) % p
-    q = pre[:, :n] * suf[:, 1:] % p
-    dq = (dpre[:, :n] * suf[:, 1:] % p + pre[:, :n] * dsuf[:, 1:] % p) % p
+        suf[s] = suf[s + 1] * diff[s] % p
+        dsuf[s] = (dsuf[s + 1] * diff[s] + suf[s + 1]) % p
+    q = mod_p(pre[:n] * suf[1:], p)
+    dq = mod_p(mod_p(dpre[:n] * suf[1:], p) + pre[:n] * dsuf[1:], p)
     return q, dq
 
 
-def _antisymmetric(x: np.ndarray, y: np.ndarray, first: np.ndarray, second: np.ndarray,
-                   p: int) -> np.ndarray:
-    """x[:, i] y[:, j] - x[:, j] y[:, i] mod p for every pair (i, j), one row per pair."""
-    return ((x[:, first] * y[:, second] % p - x[:, second] * y[:, first] % p) % p).T
+def _antisymmetric(x: np.ndarray, y: np.ndarray, first, second, p: int) -> np.ndarray:
+    """x[i] y[j] - x[j] y[i] mod p for every pair (i, j), one row per pair."""
+    return mod_p(mod_p(x[first] * y[second], p) - x[second] * y[first], p)
 
 
-def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
-    """The Gaussian-map matrix over Z/pZ in the evaluation basis (int64).
+def assemble_mod_p(curve: PrymBinaryCurve, p: int, nrows: int | None = None) -> np.ndarray:
+    """The first `nrows` rows (all by default) of the Gaussian-map matrix over
+    Z/pZ in the evaluation basis (int64), in `row_pairs` order.
 
     Column block h holds nu_{ij,h} at `evaluation_points`; the torsion
     columns are those of `assemble_matrix`, reduced mod p.  Each value comes
-    from product formulas in the reduced parameters: alpha_i = Q_i (delta_i t
-    - c_i) with Q_i = M/(t - a_i), and the u-chart slope at P_{g+1} is
-    -delta_i (sum_r a_r - a_i) - c_i.
+    from product formulas in the reduced parameters, for both components at
+    once: alpha_i = Q_i (delta_i t - c_i) with Q_i = M/(t - a_i), and the
+    u-chart slope at P_{g+1} is -delta_i (sum_r a_r - a_i) - c_i.
 
     Raises BadPrimeError when a parameter a_r or a constant c_i has a
     denominator divisible by p; every entry of the rational matrix is a
@@ -248,33 +248,27 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int) -> np.ndarray:
     import numpy as np
 
     g = curve.genus
-    constants = {eps: [curve.coeff_pair(i, eps) for i in range(1, g)] for eps in (1, 2)}
+    constants = [[curve.coeff_pair(i, eps) for i in range(1, g)] for eps in (1, 2)]
     # One reduction per prime: rows a1, a2, c(component 1), c(component 2).
-    reduced = reduce_mod_p([curve.a1, curve.a2] + [[c for _, c in constants[eps]]
-                                                   for eps in (1, 2)], p)
-    pairs = row_pairs(g)
-    first = np.array([i - 1 for i, _ in pairs], dtype=np.intp)
-    second = np.array([j - 1 for _, j in pairs], dtype=np.intp)
-    samples = np.array(evaluation_points(g), dtype=np.int64)
-    width = len(samples)
-    node_derivs = []
-    out = np.empty((len(pairs), 5 * g - 5), dtype=np.int64)
-    for eps in (1, 2):
-        roots, c = reduced[eps - 1], reduced[eps + 1]
-        delta = np.array([d for d, _ in constants[eps]], dtype=np.int64)
-        # Sample points first, then the interior nodes t = a_1..a_{g-1}, 0.
-        points = np.concatenate((samples, roots, [0]))
-        q, dq = _cofactors_mod_p(points, roots, p)
-        lin = (delta[None, :] * points[:, None] - c[None, :]) % p
-        alpha = q * lin % p
-        dalpha = (dq * lin % p + q * delta[None, :]) % p
-        out[:, (eps - 1) * width:eps * width] = _antisymmetric(
-            alpha[:width], dalpha[:width], first, second, p)
-        slope = (delta * (roots - int(roots.sum() % p)) - c) % p
-        node_derivs.append(np.vstack((dalpha[width:], slope)))
+    reduced = reduce_mod_p([curve.a1, curve.a2] + [[c for _, c in row] for row in constants], p)
+    roots, c = reduced[:2], reduced[2:]
+    delta = np.array([[d for d, _ in row] for row in constants], dtype=np.int64)
+    pairs = row_pairs(g)[:nrows]
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
+    width = 2 * g - 3
+    # Sample points first, then the interior nodes t = a_1..a_{g-1}, 0.
+    points = np.concatenate((np.broadcast_to(np.array(evaluation_points(g)), (2, width)),
+                             roots, np.zeros((2, 1), dtype=np.int64)), axis=1)
+    q, dq = _cofactors_mod_p(points, roots, p)
+    lin = (delta.T[:, :, None] * points - c.T[:, :, None]) % p
+    alpha = mod_p(q * lin, p)
+    dalpha = mod_p(mod_p(dq * lin, p) + q * delta.T[:, :, None], p)
+    nu = _antisymmetric(alpha[:, :, :width], dalpha[:, :, :width], first, second, p)
+    slope = (delta * (roots - roots.sum(axis=1, keepdims=True) % p) - c) % p
+    derivs = np.concatenate((dalpha[:, :, width:], slope.T[:, :, None]), axis=2)
     # tau(i, j) = d1_j d2_i - d1_i d2_j at P_1..P_{g+1}.
-    out[:, 2 * width:] = _antisymmetric(node_derivs[1], node_derivs[0], first, second, p)
-    return out
+    tau = _antisymmetric(derivs[:, 1], derivs[:, 0], first, second, p)
+    return np.concatenate((nu.reshape(len(pairs), 2 * width), tau), axis=1)
 
 
 # -- serialization ------------------------------------------------------

@@ -64,9 +64,9 @@ def _draw_row(rng: random.Random, count: int) -> tuple[Fraction, ...]:
 
 
 def seeded_params(genus: int, seed: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Deterministic parameter rows for the given seed."""
-    if genus < 3:
-        raise ParameterError(f"genus must be >= 3, got {genus}")
+    """Deterministic parameter rows for the given seed; genus as in `build_curve`."""
+    if type(genus) is not int or genus < 3:
+        raise ParameterError(f"genus must be an int >= 3, got {genus!r}")
     rng = random.Random(seed)
     a1 = _draw_row(rng, genus - 1)
     a2 = _draw_row(rng, genus - 1)

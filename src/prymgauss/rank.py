@@ -6,32 +6,23 @@ rows; a curve's rational matrix is never built, at any prime or policy.
 * `rank_mod_p` — row echelon over a word-sized prime field.  This is a sound
   *lower* bound for the rational rank (reduction can only collapse rows), so
   a single modular rank equal to min(rows, cols) already certifies that the
-  rational rank is maximal.  That observation, not a heuristic, is what makes
-  genus sweeps cheap.  The elimination is vectorized with numpy int64;
-  because every prime lies in (2^30, 2^31), factor * entry products stay
-  below 2^62 and cannot overflow the signed 64-bit accumulator.  A tall
-  array (g >= 13) is eliminated on its first ncols rows first, and whole
-  only if that square prefix is rank-deficient (see `_echelon_rank`).
+  rational rank is maximal, which makes genus sweeps cheap.  The elimination
+  is vectorized with numpy int64; because every prime lies in (2^30, 2^31),
+  factor * entry products stay below 2^62 and cannot overflow.  A tall image
+  (g >= 13) is built and eliminated on its first ncols rows, and whole only
+  if that square prefix is rank-deficient.
 
-* `rank_exact` — fraction-free (Bareiss) elimination over the integers.
-  The matrix is column-cleared of denominators (each column times the lcm
-  of its denominators; a curve's `gaussmap._cleared_rows` are already of
-  that form), each row is divided by the gcd of its entries, then each
-  column by the gcd of its entries; all are nonzero diagonal scalings, so
-  the rank is unchanged, and the primitive rows and columns keep the
-  minors Bareiss forms small.
-  The columns are then sorted by the bit length of their largest entry
-  (a column permutation, which leaves the rank unchanged too), so the
-  elimination pivots on the small columns first.  The elimination is
-  left-looking: a column is brought up to date only when it is reached,
-  by replaying the earlier steps, and it stops at full row rank, so a
-  column after the last pivot (at g <= 11, mostly the large torsion
-  columns) is never updated.  The pivot is chosen of minimal bit length to
-  limit coefficient growth.  Intermediate divisions are exact by the
-  Bareiss identity; the result is the true rational rank, with no modular
-  arithmetic.  `det_exact` runs the same elimination, without the sort (the
-  sign depends on the column order), on the column-cleared transpose, for
-  the determinant of a small square matrix (the induction's 5x5 blocks).
+* `rank_exact` — fraction-free (Bareiss) elimination over the integers, on
+  the column-cleared matrix (a curve's `gaussmap._cleared_rows`) made
+  primitive by row and column gcds, columns sorted by bit length: diagonal
+  scalings and a column permutation, which keep the rank and the Bareiss
+  minors small.  `_bareiss` is left-looking, pivots on the entry of least
+  bit length and stops at full row rank (at g <= 11 the large torsion
+  columns after the last pivot are never updated); every division is exact
+  by the Bareiss identity, so the result is the true rational rank.
+  `det_exact` runs the same elimination, unsorted (the sign depends on the
+  column order), on the column-cleared transpose of a small square matrix
+  (the induction's 5x5 blocks).
 
 `certify` combines them under a policy: "fast" tries up to
 `MODULAR_ATTEMPTS` good primes and falls back to the exact path only when no
@@ -58,7 +49,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .curves import PrymBinaryCurve
-from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators,
+from .exact import (FIELD_PRIMES, BadPrimeError, _entry_rows, clear_denominators, mod_p,
                     reduce_mod_p)
 from .gaussmap import _cleared_rows, assemble_mod_p, matrix_shape
 
@@ -71,40 +62,38 @@ def rank_mod_p(source, p: int) -> int:
 
     `source` is a curve, a GaussMatrix or a sequence of rational rows.  A
     curve's image mod p is `gaussmap.assemble_mod_p`, which has the rank of
-    the reduced rational matrix; its rational matrix is never built.
+    the reduced rational matrix; its rational matrix is never built.  A
+    tall image is eliminated on its first ncols rows, which bound its rank
+    from below, and whole only if that prefix is deficient (a curve builds
+    the whole image then; a matrix, reduced whole by `exact.reduce_mod_p`,
+    keeps its row space under the prefix's in-place row operations).
 
     The modulus p must be one of FIELD_PRIMES (ValueError otherwise).
     Raises BadPrimeError if p divides a denominator of the entries or of
     the curve's data; the caller should then retry with the next prime.
     """
     if isinstance(source, PrymBinaryCurve):
-        return _echelon_rank(assemble_mod_p(source, p), p)
-    return _echelon_rank(reduce_mod_p(source, p), p)
+        nrows, ncols = matrix_shape(source.genus)
+        image = lambda rows=None: assemble_mod_p(source, p, rows)  # noqa: E731
+    else:
+        arr = reduce_mod_p(source, p)
+        nrows, ncols = arr.shape
+        image = lambda rows=None: arr[:rows]  # noqa: E731
+    if nrows > ncols and _echelon_rank(image(ncols), p) == ncols:
+        return ncols
+    return _echelon_rank(image(), p)
 
 
 def _echelon_rank(arr: np.ndarray, p: int) -> int:
-    """Rank of an int64 array of residues mod p, by row echelon in place.
-
-    A tall array is first eliminated in place on its first ncols rows (the
-    square call does not recurse): a subset of rows has rank at most
-    rank(arr) <= ncols, so a full-rank prefix is already the answer.
-    Otherwise the whole array is eliminated.  Row operations within the
-    prefix keep the row space of the whole array, so its rank is unchanged.
-    On a rank-deficient image the prefix work is wasted (1.4-2.2x the time
-    at g = 13..60 with a1 = 2*a2), small beside the Bareiss fallback such
-    curves then run.
-    """
+    """Rank of an int64 array of residues mod p, by row echelon in place over
+    every row it is given (`rank_mod_p` chooses the rows)."""
     nrows, ncols = arr.shape
-    if nrows > ncols and _echelon_rank(arr[:ncols], p) == ncols:
-        return ncols
     rank = 0
     for c in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if arr[r, c]:
-                pivot = r
+        for pivot in range(rank, nrows):
+            if arr[pivot, c]:
                 break
-        if pivot is None:
+        else:
             continue
         if pivot != rank:
             arr[[rank, pivot]] = arr[[pivot, rank]]
@@ -113,7 +102,7 @@ def _echelon_rank(arr: np.ndarray, p: int) -> int:
         # products stay below 2^62: both operands are reduced mod p < 2^31.
         row = arr[rank, c:] * inv % p
         arr[rank, c:] = row
-        arr[rank + 1:, c:] = (arr[rank + 1:, c:] - arr[rank + 1:, c, None] * row) % p
+        arr[rank + 1:, c:] = mod_p(arr[rank + 1:, c:] - arr[rank + 1:, c, None] * row, p)
         rank += 1
     return rank
 

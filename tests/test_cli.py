@@ -14,7 +14,8 @@ import pytest
 from prymgauss import (GaussMatrix, InductionReport, assemble_matrix, build_curve,
                        format_rational, matrix_from_bytes, matrix_from_json, nu_closed_form,
                        parse_rational, verify_det5)
-from prymgauss import cli, curves
+from prymgauss import cli, curves, gaussmap
+from prymgauss import rank as rank_module
 from prymgauss.cli import main
 from prymgauss.params import params_to_file, seeded_params
 
@@ -571,6 +572,46 @@ def test_input_errors_exit_2_on_stderr_only(capsys, tmp_path, argv):
                                   "--json", "--no-timing")
     assert code == 2
     assert out == "" and err.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    "rank --genus 100000",
+    "rank --genus 100000 --policy exact",
+    "rank --genus 100000 --params {dir}/absent.json",
+    "sweep --g-min 13 --g-max 100000",
+    "oracle --genus 100000",
+    "matrix export --genus 100000 --out {dir}/m.json",
+])
+def test_a_genus_above_the_size_limit_exits_2_before_any_curve(capsys, monkeypatch, tmp_path,
+                                                              argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started above the size limit")
+    for module, name in ((gaussmap, "assemble_mod_p"), (rank_module, "assemble_mod_p"),
+                         (cli, "assemble_matrix"), (cli, "build_curve"),
+                         (cli, "seeded_params"), (cli, "params_from_file")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli_exit(capsys, *argv.replace("{dir}", str(tmp_path)).split())
+    assert code == 2 and out == ""
+    assert f"above the limit of {cli.MAX_CELLS} cells" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv,limit", [
+    ("rank --genus {g}", 205),
+    ("sweep --g-min 13 --g-max {g}", 205),
+    ("rank --genus {g} --policy exact", 76),
+    ("sweep --g-min 4 --g-max {g} --policy exact", 76),
+    ("oracle --genus {g}", 76),
+    ("matrix export --genus {g} --out m.json", 76),
+])
+def test_size_limit_per_command(argv, limit):
+    # the genus limits the README states; sweep to 150 and rank at 200 stay in
+    def args(genus):
+        return cli.build_parser().parse_args(argv.format(g=genus).split())
+    for genus in (3, 20, limit):
+        cli._check_size(args(genus), genus)
+    with pytest.raises(curves.ParameterError, match=f"limit of {cli.MAX_CELLS} cells"):
+        cli._check_size(args(limit + 1), limit + 1)
 
 
 def test_sweep_range_wider_than_a_params_file_is_refused_before_any_work(capsys, tmp_path):

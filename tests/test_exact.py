@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymgauss import BadPrimeError, FIELD_PRIMES, format_rational, parse_rational, reduce_mod_p
-from prymgauss.exact import clear_denominators
+from prymgauss.exact import clear_denominators, mod_p
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -123,6 +123,21 @@ def test_field_inverse():
     assert reduce(Fraction(1, 123456), p) * 123456 % p == 1
     with pytest.raises(BadPrimeError):
         reduce(Fraction(1, p), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELD_PRIMES), st.data())
+def test_mod_p_matches_the_remainder(p, data):
+    # the range of a difference of two products of residues, ends included
+    np = pytest.importorskip("numpy")
+    low = -(p - 1) ** 2
+    values = data.draw(st.lists(st.sampled_from([0, p - 1, low]) | st.integers(low, p - 1),
+                                max_size=50))
+    x = np.array(values + [0, p - 1, low], dtype=np.int64)
+    before = x.copy()
+    got = mod_p(x, p)
+    assert got.dtype == np.int64 and np.array_equal(got, x % p)
+    assert np.array_equal(x, before)
 
 
 def test_small_modulus_rejected():

@@ -284,6 +284,20 @@ def test_modular_image_with_parameters_colliding_mod_p():
         assert np.array_equal(assemble_mod_p(curve, p), evaluation_basis(assemble_matrix(curve), p))
 
 
+@pytest.mark.parametrize("genus", range(3, 31))
+def test_modular_image_prefix_is_the_first_rows_of_the_whole_image(genus):
+    rows, cols = matrix_shape(genus)
+    for seed in (genus, 300 + genus):
+        convention = CONVENTIONS[seed % 2]
+        curve = build_curve(genus, *seeded_params(genus, seed), convention)
+        for p in FIELD_PRIMES[:3]:
+            whole = assemble_mod_p(curve, p)
+            for n in (1, cols, rows):
+                got = assemble_mod_p(curve, p, n)
+                assert got.dtype == np.int64 and got.shape == (min(n, rows), cols)
+                assert np.array_equal(got, whole[:n]), (seed, convention, p, n)
+
+
 def test_modular_image_rejects_curves_that_do_not_reduce():
     p = FIELD_PRIMES[0]
     with pytest.raises(BadPrimeError):

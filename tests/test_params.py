@@ -29,8 +29,15 @@ def test_seeded_determinism():
 
 
 def test_seeded_rejects_genus_below_3():
-    with pytest.raises(ParameterError, match="genus must be >= 3, got 2"):
+    with pytest.raises(ParameterError, match="genus must be an int >= 3, got 2"):
         seeded_params(2, 0)
+
+
+@pytest.mark.parametrize("genus", [4.5, 5.0, True])
+def test_seeded_rejects_a_genus_that_is_not_an_int(genus):
+    # the rule of build_curve: 4.5 used to draw rows of 4 entries
+    with pytest.raises(ParameterError, match="genus must be an int >= 3"):
+        seeded_params(genus, 0)
 
 
 def test_seeded_bounds_and_invariants():

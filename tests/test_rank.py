@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from prymgauss import (BadPrimeError, FIELD_PRIMES, GaussMatrix, assemble_matrix,
                        assemble_mod_p, build_curve, builtin_params, certify, matrix_checksum,
-                       rank_exact, rank_mod_p, reduce_mod_p, seeded_params)
+                       matrix_shape, rank_exact, rank_mod_p, reduce_mod_p, seeded_params)
 from prymgauss import gaussmap
 from prymgauss import rank as rank_module
 from prymgauss.exact import clear_denominators
@@ -508,6 +508,46 @@ def deficient_prefix_arrays(draw):
 @given(residue_arrays() | low_rank_products() | deficient_prefix_arrays())
 def test_echelon_rank_matches_the_reference(rows):
     assert kernel_rank(rows) == reference_rank_mod_p(rows, P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_arrays() | deficient_prefix_arrays())
+def test_rank_mod_p_of_rows_matches_the_reference(rows):
+    # rows are reduced whole, then eliminated on their square prefix first
+    assert rank_mod_p(rows, P) == reference_rank_mod_p(rows, P)
+
+
+def spy_assemble_mod_p(monkeypatch):
+    """Record the row count of every image rank_mod_p builds (None: whole)."""
+    built = []
+
+    def spy(curve, p, nrows=None):
+        built.append(nrows)
+        return assemble_mod_p(curve, p, nrows)
+    monkeypatch.setattr(rank_module, "assemble_mod_p", spy)
+    return built
+
+
+@pytest.mark.parametrize("genus", [13, 16])
+def test_rank_mod_p_builds_the_whole_image_after_a_deficient_prefix(monkeypatch, genus):
+    # a1 = 2*a2 has rank 4g - 14, as Bareiss reads it above at g = 7..12 and on
+    # the g = 13 induction family curve (also a1 = 2*a2)
+    built = spy_assemble_mod_p(monkeypatch)
+    a2 = seeded_params(genus, 0)[1]
+    curve = build_curve(genus, [2 * x for x in a2], a2)
+    ncols = matrix_shape(genus)[1]
+    for p in FIELD_PRIMES[:3]:
+        assert rank_mod_p(curve, p) == 4 * genus - 14
+        assert built == [ncols, None]
+        built.clear()
+
+
+@pytest.mark.parametrize("genus,seed", [(13, 0), (21, 1), (40, 2)])
+def test_rank_mod_p_builds_only_the_prefix_of_a_maximal_curve(monkeypatch, genus, seed):
+    built = spy_assemble_mod_p(monkeypatch)
+    ncols = matrix_shape(genus)[1]
+    assert rank_mod_p(build_curve(genus, *seeded_params(genus, seed)), P) == ncols
+    assert built == [ncols]
 
 
 def test_echelon_rank_deficient_prefix_example():
