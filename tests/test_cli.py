@@ -442,6 +442,10 @@ GOLDEN_STDOUT_SHA256 = {
     # jets that walked every parameter once per (index, component)
     "induction --g-min 13 --g-max 100 --a=8 --a=9 --a=4/5":
         "013faa00b4bcca915678e781b47921ef9827d226000e328e4990b9098b50cd17",
+    # negative family values: the odd powers of a in the block carry its sign;
+    # pinned on the block that built the jets of both components
+    "induction --g-min 13 --g-max 100 --a=-1 --a=-9/2 --a=11/3":
+        "2fd90d52cc043f502c7d76d77977dea622cdb41dd8e901bee4dad840469a3e0e",
     # pinned before the commands shared one report runner
     "oracle --genus 9 --seed 3":
         "7083a05c60c51097a3dab6d1b021be1241e6d0e72fd6a8be06ffbffcd3ef7b58",
