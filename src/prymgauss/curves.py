@@ -91,14 +91,14 @@ class PrymBinaryCurve:
         raise ValueError(f"component index must be 1 or 2, got {eps}")
 
     def alpha_jets(self, eps: int, x: Fraction, indices: Iterable[int]) -> dict[int, tuple]:
-        """{i: (alpha, alpha', alpha'')} of alpha(i, eps) at x, for each i in indices.
+        """{i: (N, N', N'', D)} with alpha(i, eps)^(d)(x) = N^(d)/D, for each i in indices.
 
         With x = n/m, a_s = n_s/d_s, x - a_s = e_s/w_s (e_s = n d_s - n_s m,
         w_s = m d_s), a forward pass keeps W (q, q', q''), W = prod w_s, of
         q = prod_{s<i} (x - a_s) at each requested i, over the integers by the
         product rule; a backward pass does so for s > i.  Each i joins its two
         jets and the factor delta_i x - c_i by the product rule.  Nothing is
-        divided, so x may be a parameter.  Two O(g) passes, three Fractions per i.
+        divided, so x may be a parameter.  Two O(g) integer passes; D > 0, unreduced.
         """
         pairs = {i: self.coeff_pair(i, eps) for i in indices}
         n, m = x.numerator, x.denominator
@@ -117,8 +117,7 @@ class PrymBinaryCurve:
             lin = delta * x - c
             ln, ld = lin.numerator, lin.denominator
             Q, dQ, ddQ, D = P * S, dP * S + P * dS, ddP * S + 2 * dP * dS + P * ddS, V * U * ld
-            jets[i] = (Fraction(Q * ln, D), Fraction(dQ * ln + Q * delta * ld, D),
-                       Fraction(ddQ * ln + 2 * dQ * delta * ld, D))
+            jets[i] = (Q * ln, dQ * ln + Q * delta * ld, ddQ * ln + 2 * dQ * delta * ld, D)
         return jets
 
     def __repr__(self) -> str:

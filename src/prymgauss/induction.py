@@ -13,19 +13,31 @@ and its columns are five selected pairs (i, j):
     even genus 2k:   (1,k)   (2,k)   (k,g-2)   (k,g-1)   (k-1,k+1)
     odd genus 2k+1:  (2,k+1) (3,k+1) (k+1,g-2) (k+1,g-1) (k-1,k+2)
 
-The block is built from jets, not polynomials: per component, one call of
-`PrymBinaryCurve.alpha_jets` gives (alpha_i, alpha_i', alpha_i'') at the node
-parameter for every selected index i, from one prefix pass and one suffix
-pass over the products of (t - a_s), s < i and s > i, in O(g) integer
-operations.  With these jets,
+The block is built from jets, not polynomials, and from component 2 alone:
+one call of `PrymBinaryCurve.alpha_jets` gives the integer jets
+(alpha_i, alpha_i', alpha_i'') = (N, N', N'')/D at t = r for every selected
+index i, in one prefix and one suffix pass over the factors (t - s).
+Component 1 is component 2 rescaled: with sigma_i = +1 for i <= k and -1
+for i > k,
 
-    nu  = alpha_i alpha_j'  - alpha_j alpha_i',
-    nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
-    tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2},
+    alpha_{i,1}(a t) = sigma_i a^(g-1) alpha_{i,2}(t),
 
-which are the values at the node of the nu blocks of `assemble_matrix`, of
-their derivatives and of its tau column at P_r on the same curve (the tests
-check the block against a sympy construction of the coordinates).
+since prod_{s != i} (a t - s a) = a^(g-2) prod_{s != i} (t - s), and the
+linear factor is a t against t for i <= k and -c_{i,1} = -a c_{i,2} for
+i > k (`coeff_pair` divides both by A2).  Differentiating d times,
+alpha^(d)_{i,1}(a r) = sigma_i a^(g-1-d) alpha^(d)_{i,2}(r).  So with
+s = sigma_i sigma_j and the component-2 values
+nu = alpha_i alpha_j' - alpha_j alpha_i', nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
+column (i, j) is
+
+    s a^(2g-3) nu,  s a^(2g-4) nu',  nu,  nu',
+    (sigma_j - sigma_i) a^(g-2) alpha_i' alpha_j',
+
+each entry one Fraction of integers: the values at the node of the nu
+blocks of `assemble_matrix`, of their derivatives and of its tau column
+(tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2}) at P_r on the
+same curve.  The tests check the block against a sympy construction of the
+coordinates and the rescaling on both components.
 
 Both nu rows of the last column vanish (its indices avoid r), so
 det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  The verdict
@@ -82,28 +94,26 @@ def selected_pairs(genus: int) -> tuple[tuple[int, int], ...]:
 
 
 def build_induction_submatrix(genus: int, a: RationalLike) -> tuple[tuple[Fraction, ...], ...]:
-    """The 5x5 block as its rows, from alpha jets at the projection node.
-
-    Column q belongs to the q-th pair of `selected_pairs(genus)`; its rows
-    are nu_1, nu_1', nu_2, nu_2' and tau.  One `alpha_jets` call per component
-    gives (alpha, alpha', alpha'') at each distinct index: nu = a_i a_j' - a_j a_i',
-    nu' = a_i a_j'' - a_j a_i'' and tau = a'_{j,1} a'_{i,2} - a'_{i,1} a'_{j,2};
-    no polynomial is built.
-    """
+    """The 5x5 block as its rows: column q belongs to the q-th pair of
+    `selected_pairs(genus)`, rows nu_1, nu_1', nu_2, nu_2' and tau.  One
+    `alpha_jets` call on component 2; component 1's rows are its rescaling by
+    powers of a (module docstring), so no polynomial and no second jet pass."""
     curve = family_curve(genus, a)
+    p, q = curve.a1[0].numerator, curve.a1[0].denominator      # a_{1,1} = a
     r = projection_node_index(genus)
     pairs = selected_pairs(genus)
-    indices = {i for pair in pairs for i in pair}
-    jets = {eps: curve.alpha_jets(eps, curve.params(eps)[r - 1], indices) for eps in (1, 2)}
+    jets = curve.alpha_jets(2, curve.a2[r - 1], {i for pair in pairs for i in pair})
+    sigma = {i: 1 if i <= curve.k else -1 for i in jets}
+    p_tau, q_tau = p ** (genus - 2), q ** (genus - 2)
+    p_nu, q_nu = p_tau * p_tau, q_tau * q_tau                  # a^(2g-4)
     cols = []
     for (i, j) in pairs:
-        col = []
-        for eps in (1, 2):
-            ai, di, ddi = jets[eps][i]
-            aj, dj, ddj = jets[eps][j]
-            col += [ai * dj - aj * di, ai * ddj - aj * ddi]
-        col.append(jets[1][j][1] * jets[2][i][1] - jets[1][i][1] * jets[2][j][1])
-        cols.append(col)
+        (ai, di, ddi, den_i), (aj, dj, ddj, den_j) = jets[i], jets[j]
+        nu, dnu, den = ai * dj - aj * di, ai * ddj - aj * ddi, den_i * den_j
+        s = sigma[i] * sigma[j]
+        cols.append((Fraction(s * p_nu * p * nu, q_nu * q * den),
+                     Fraction(s * p_nu * dnu, q_nu * den), Fraction(nu, den), Fraction(dnu, den),
+                     Fraction((sigma[j] - sigma[i]) * p_tau * di * dj, q_tau * den)))
     return tuple(zip(*cols))
 
 

@@ -236,28 +236,38 @@ def test_alpha_jet_matches_polynomial_derivatives():
         for eps in (1, 2):
             polys = {i: ref.alpha(i, eps) for i in range(1, 8)}
             for x in curve.params(eps) + (Fraction(0), Fraction(3, 7)):
-                assert curve.alpha_jets(eps, x, range(1, 8)) == {
+                assert jet_values(curve.alpha_jets(eps, x, range(1, 8))) == {
                     i: tuple(evaluate(p, x) for p in (poly, poly.diff(), poly.diff().diff()))
                     for i, poly in polys.items()}, (convention, eps, x)
 
 
-def fraction_jet(curve, i, eps, x):
+def jet_values(jets):
+    """{i: (alpha, alpha', alpha'')} as Fractions from the integer jets (N, N', N'', D)."""
+    assert all(type(v) is int for jet in jets.values() for v in jet)
+    assert all(jet[3] > 0 for jet in jets.values())
+    return {i: tuple(Fraction(n, jet[3]) for n in jet[:3]) for i, jet in jets.items()}
+
+
+def fraction_jets(curve, eps, x, indices):
     """Reference for `alpha_jets`: the product rule over Fractions, one step per factor."""
-    delta, c = curve.coeff_pair(i, eps)
-    q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
-    for s, root in enumerate(curve.params(eps), start=1):
-        if s != i:
-            d = x - root
-            q, dq, ddq = q * d, dq * d + q, ddq * d + 2 * dq
-    lin = delta * x - c
-    return q * lin, dq * lin + q * delta, ddq * lin + 2 * dq * delta
+    diffs = [x - root for root in curve.params(eps)]
+    jets = {}
+    for i in indices:
+        delta, c = curve.coeff_pair(i, eps)
+        q, dq, ddq = Fraction(1), Fraction(0), Fraction(0)
+        for s, d in enumerate(diffs, start=1):
+            if s != i:
+                q, dq, ddq = q * d, dq * d + q, ddq * d + 2 * dq
+        lin = delta * x - c
+        jets[i] = q * lin, dq * lin + q * delta, ddq * lin + 2 * dq * delta
+    return jets
 
 
 def assert_jets_match(curve, eps, points):
     indices = range(1, curve.genus)
     for x in points:
-        assert curve.alpha_jets(eps, x, indices) == {
-            i: fraction_jet(curve, i, eps, x) for i in indices}, (eps, x)
+        want = fraction_jets(curve, eps, x, indices)
+        assert jet_values(curve.alpha_jets(eps, x, indices)) == want, (eps, x)
 
 
 @st.composite
@@ -296,6 +306,28 @@ def test_alpha_jet_matches_fraction_recurrence_at_family_node(g, a):
         assert_jets_match(curve, eps, [curve.params(eps)[r - 1], Fraction(0), Fraction(-11, 13)])
 
 
+@pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7), Fraction(9, 2), -1, Fraction(-9, 2)])
+def test_family_component_1_is_component_2_rescaled(a):
+    # the lemma behind the induction block: on the family, with sigma_i = +1
+    # for i <= k and -1 for i > k,
+    # alpha^(d)_{i,1}(a t) = sigma_i a^(g-1-d) alpha^(d)_{i,2}(t)
+    a = Fraction(a)
+    for g in [*range(13, 61), 100]:
+        curve = family_curve(g, a)
+        r = projection_node_index(g)
+        indices = range(1, g)
+        powers = [a ** (g - 1 - d) for d in range(3)]
+        for t in (curve.a2[r - 1], Fraction(-11, 13)):
+            one, two = curve.alpha_jets(1, a * t, indices), curve.alpha_jets(2, t, indices)
+            for i in indices:
+                sigma = 1 if i <= g // 2 else -1
+                *n1, d1 = one[i]
+                *n2, d2 = two[i]
+                for d in range(3):
+                    want = sigma * powers[d] * Fraction(n2[d], d2)
+                    assert Fraction(n1[d], d1) == want, (g, t, i, d)
+
+
 @pytest.mark.parametrize("i", [0, 5, -1])
 def test_coordinate_index_out_of_range(g5_curve, monkeypatch, i):
     with pytest.raises(ValueError):
@@ -311,4 +343,4 @@ def test_coordinate_index_out_of_range(g5_curve, monkeypatch, i):
 def test_alpha_jets_duplicate_and_empty_indices(g5_curve):
     assert g5_curve.alpha_jets(1, Fraction(5, 2), []) == {}
     jets = g5_curve.alpha_jets(1, Fraction(5, 2), [3, 1, 3, 1])
-    assert jets == {i: fraction_jet(g5_curve, i, 1, Fraction(5, 2)) for i in (1, 3)}
+    assert jet_values(jets) == fraction_jets(g5_curve, 1, Fraction(5, 2), (1, 3))

@@ -269,6 +269,21 @@ def test_verify_det5_builds_no_polynomial(monkeypatch):
         assert report.ok and report.scaled4x4_matches is True
 
 
+def test_verify_det5_makes_one_jet_pass_on_component_2(monkeypatch):
+    # component 1's rows are component 2's rescaled by powers of a
+    calls = []
+    alpha_jets = curves.PrymBinaryCurve.alpha_jets
+
+    def spy(self, eps, x, indices):
+        calls.append((eps, x))
+        return alpha_jets(self, eps, x, indices)
+    monkeypatch.setattr(curves.PrymBinaryCurve, "alpha_jets", spy)
+    for g, a in ((13, 2), (14, Fraction(-5, 7)), (41, Fraction(9, 2)), (100, -1)):
+        calls.clear()
+        assert verify_det5(g, a).ok
+        assert calls == [(2, projection_node_index(g))], (g, a)
+
+
 def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
     calls = []
 
