@@ -85,7 +85,7 @@ MAX_CELLS = 2 ** 20
 
 def _check_size(args, genus: int) -> None:
     """Refuse, before any curve is built, a genus whose matrix has more than MAX_CELLS
-    cells: the square row prefix for rank and sweep (genus <= 205), the whole
+    cells: one square row block for rank and sweep (genus <= 205), the whole
     matrix for --policy exact, oracle and matrix export (genus <= 76)."""
     rows, cols = matrix_shape(genus)
     rows = min(rows, cols) if getattr(args, "policy", None) == "fast" else rows

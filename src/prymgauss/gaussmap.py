@@ -37,8 +37,8 @@ B = prod_{r != i, j} (t - a_r)):
 blocks of `assemble_matrix` against it.
 
 `assemble_mod_p` builds the image of the same map over Z/pZ without any
-rational arithmetic, whole or only its first rows (the fast rank's square
-prefix).  It samples each nu_{ij,h} at the 2g-3 points 0..2g-4
+rational arithmetic, whole or one range of its rows (the fast rank's row
+blocks).  It samples each nu_{ij,h} at the 2g-3 points 0..2g-4
 (`evaluation_points`) instead of storing its coefficients, so its array
 equals reduce_p(M) * blockdiag(V, V, I), where V[d, k] = x_k^d is the
 Vandermonde matrix of the points.  V is invertible mod p (the points are
@@ -230,9 +230,9 @@ def _antisymmetric(x: np.ndarray, y: np.ndarray, first, second, p: int) -> np.nd
     return mod_p(mod_p(x[first] * y[second], p) - x[second] * y[first], p)
 
 
-def assemble_mod_p(curve: PrymBinaryCurve, p: int, nrows: int | None = None) -> np.ndarray:
-    """The first `nrows` rows (all by default) of the Gaussian-map matrix over
-    Z/pZ in the evaluation basis (int64), in `row_pairs` order.
+def assemble_mod_p(curve: PrymBinaryCurve, p: int, rows: slice = slice(None)) -> np.ndarray:
+    """The rows `row_pairs(g)[rows]` (all by default) of the Gaussian-map
+    matrix over Z/pZ in the evaluation basis (int64).
 
     Column block h holds nu_{ij,h} at `evaluation_points`; the torsion
     columns are those of `assemble_matrix`, reduced mod p.  Each value comes
@@ -253,7 +253,7 @@ def assemble_mod_p(curve: PrymBinaryCurve, p: int, nrows: int | None = None) -> 
     reduced = reduce_mod_p([curve.a1, curve.a2] + [[c for _, c in row] for row in constants], p)
     roots, c = reduced[:2], reduced[2:]
     delta = np.array([[d for d, _ in row] for row in constants], dtype=np.int64)
-    pairs = row_pairs(g)[:nrows]
+    pairs = row_pairs(g)[rows]
     first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
     width = 2 * g - 3
     # Sample points first, then the interior nodes t = a_1..a_{g-1}, 0.

@@ -140,10 +140,10 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
     """Do nonzero row/column scalars exist with computed * r_p * c_q == target?
 
     False when the zero patterns differ; None (inconclusive) when the
-    first row or column of `computed` has a zero, since the gauge below
-    needs both.  Otherwise the scalars are solved from the first row and
-    column (gauge r_0 = 1) and the answer is whether they reproduce every
-    cell.
+    first row or column of `computed` has a zero.  Otherwise they exist
+    exactly when the cellwise ratio target/computed has rank 1: every 2x2
+    minor through cell (0, 0) vanishes, compared cross-multiplied over the
+    numerators and denominators of `computed`, so no Fraction is built.
     """
     n = len(target)
     cells = [(p, q) for p in range(n) for q in range(n)]
@@ -151,9 +151,11 @@ def _scaling_match(computed: Sequence[Sequence[Fraction]],
         return False
     if 0 in computed[0] or any(row[0] == 0 for row in computed):
         return None
-    col_scale = [Fraction(target[0][q]) / computed[0][q] for q in range(n)]
-    row_scale = [Fraction(target[p][0]) / (computed[p][0] * col_scale[0]) for p in range(n)]
-    return all(computed[p][q] * row_scale[p] * col_scale[q] == target[p][q] for p, q in cells)
+    num = [[x.numerator for x in row] for row in computed]
+    den = [[x.denominator for x in row] for row in computed]
+    return all(target[p][q] * target[0][0] * num[p][0] * num[0][q] * den[p][q] * den[0][0]
+               == target[p][0] * target[0][q] * num[p][q] * num[0][0] * den[p][0] * den[0][q]
+               for p, q in cells)
 
 
 def check_scaled_matrix(block: Sequence[Sequence[Fraction]], genus: int) -> bool | None:

@@ -9,8 +9,8 @@ rows; a curve's rational matrix is never built, at any prime or policy.
   rational rank is maximal, which makes genus sweeps cheap.  The elimination
   is vectorized with numpy int64; because every prime lies in (2^30, 2^31),
   factor * entry products stay below 2^62 and cannot overflow.  A tall image
-  (g >= 13) is built and eliminated on its first ncols rows, and whole only
-  if that square prefix is rank-deficient.
+  (g >= 13) is built and eliminated in blocks of ncols rows, until the rank
+  is ncols: every row is built and eliminated at most once.
 
 * `rank_exact` — fraction-free (Bareiss) elimination over the integers, on
   the column-cleared matrix (a curve's `gaussmap._cleared_rows`) made
@@ -33,11 +33,11 @@ fixes the prime sequence (offset into the fixed prime list).  A curve and
 its matrix get the same certificate, unless a prime divides a denominator
 of the curve's data and of no matrix entry: only the matrix uses it.
 
-This module does not import numpy.  The modular route loads it at its
-first array (`gaussmap.assemble_mod_p`, `exact.reduce_mod_p`), and
-`_echelon_rank` uses only the methods of the array it is given; the exact
-route never loads it.  `certify` loads it before its clock starts when its
-policy makes modular attempts, so a certificate's time is its own.
+numpy is not imported with this module.  The modular route loads it in
+`rank_mod_p`, and `_echelon_rank` uses only the methods of the array it is
+given; the exact route never loads it.  `certify` loads it before its clock
+starts when its policy makes modular attempts, so a certificate's time is
+its own.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ def rank_mod_p(source, p: int) -> int:
     `source` is a curve, a GaussMatrix or a sequence of rational rows.  A
     curve's image mod p is `gaussmap.assemble_mod_p`, which has the rank of
     the reduced rational matrix; its rational matrix is never built.  A
-    tall image is eliminated on its first ncols rows, which bound its rank
-    from below, and whole only if that prefix is deficient (a curve builds
-    the whole image then; a matrix, reduced whole by `exact.reduce_mod_p`,
-    keeps its row space under the prefix's in-place row operations).
+    matrix is reduced whole (`exact.reduce_mod_p`).  Rows are eliminated in
+    blocks of ncols, each stacked under the echelon basis of those before
+    it, until the rank is ncols; a curve builds each block as it is reached.
 
     The modulus p must be one of FIELD_PRIMES (ValueError otherwise).
     Raises BadPrimeError if p divides a denominator of the entries or of
@@ -74,19 +73,26 @@ def rank_mod_p(source, p: int) -> int:
     """
     if isinstance(source, PrymBinaryCurve):
         nrows, ncols = matrix_shape(source.genus)
-        image = lambda rows=None: assemble_mod_p(source, p, rows)  # noqa: E731
+        block = lambda rows: assemble_mod_p(source, p, rows)  # noqa: E731
     else:
         arr = reduce_mod_p(source, p)
         nrows, ncols = arr.shape
-        image = lambda rows=None: arr[:rows]  # noqa: E731
-    if nrows > ncols and _echelon_rank(image(ncols), p) == ncols:
-        return ncols
-    return _echelon_rank(image(), p)
+        block = arr.__getitem__
+    import numpy as np
+
+    basis = block(slice(0, ncols))
+    rank, start = _echelon_rank(basis, p), ncols
+    while rank < ncols and start < nrows:
+        basis = np.concatenate((basis[:rank], block(slice(start, start + ncols))))
+        rank, start = _echelon_rank(basis, p), start + ncols
+    return rank
 
 
 def _echelon_rank(arr: np.ndarray, p: int) -> int:
     """Rank of an int64 array of residues mod p, by row echelon in place over
-    every row it is given (`rank_mod_p` chooses the rows)."""
+    every row it is given (`rank_mod_p` chooses the rows).  Afterwards
+    arr[:rank] spans the row space of the input and the rows below are zero,
+    so a later block stacked under arr[:rank] continues the elimination."""
     nrows, ncols = arr.shape
     rank = 0
     for c in range(ncols):

@@ -286,16 +286,22 @@ def test_modular_image_with_parameters_colliding_mod_p():
 
 @pytest.mark.parametrize("genus", range(3, 31))
 def test_modular_image_prefix_is_the_first_rows_of_the_whole_image(genus):
+    # a row range, prefix or not, builds exactly that slice of the whole image:
+    # one row, the square prefix, the second block of rank_mod_p, the whole
+    # range, an empty range and one past the end (the second block at g < 13)
     rows, cols = matrix_shape(genus)
+    ranges = (slice(0, 1), slice(cols), slice(cols, 2 * cols), slice(rows), slice(None),
+              slice(0, 0), slice(rows, rows + cols), slice(rows - 1, rows + cols))
     for seed in (genus, 300 + genus):
         convention = CONVENTIONS[seed % 2]
         curve = build_curve(genus, *seeded_params(genus, seed), convention)
         for p in FIELD_PRIMES[:3]:
             whole = assemble_mod_p(curve, p)
-            for n in (1, cols, rows):
-                got = assemble_mod_p(curve, p, n)
-                assert got.dtype == np.int64 and got.shape == (min(n, rows), cols)
-                assert np.array_equal(got, whole[:n]), (seed, convention, p, n)
+            assert whole.shape == (rows, cols)
+            for rng in ranges:
+                got = assemble_mod_p(curve, p, rng)
+                assert got.dtype == np.int64 and got.shape == (len(range(rows)[rng]), cols)
+                assert np.array_equal(got, whole[rng]), (seed, convention, p, rng)
 
 
 def test_modular_image_rejects_curves_that_do_not_reduce():

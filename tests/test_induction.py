@@ -180,6 +180,61 @@ def test_scaling_match_outcomes(computed, target, want):
     assert _scaling_match(computed, target) is want
 
 
+def gauge_scaling_match(computed, target):
+    """Reference for `_scaling_match`: the same False and None branches, then
+    the scalars solved from the first row and column (gauge r_0 = 1) and
+    checked on every cell, in Fractions."""
+    n = len(target)
+    cells = [(p, q) for p in range(n) for q in range(n)]
+    if any((computed[p][q] == 0) != (target[p][q] == 0) for p, q in cells):
+        return False
+    if 0 in computed[0] or any(row[0] == 0 for row in computed):
+        return None
+    col_scale = [Fraction(target[0][q]) / computed[0][q] for q in range(n)]
+    row_scale = [Fraction(target[p][0]) / (computed[p][0] * col_scale[0]) for p in range(n)]
+    return all(computed[p][q] * row_scale[p] * col_scale[q] == target[p][q] for p, q in cells)
+
+
+small = st.integers(-6, 6)
+nonzero_fractions = st.builds(Fraction, small.filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def scaling_cases(draw):
+    """(computed, target) 4x4 pairs with zeros: random, or computed the target
+    divided by planted row and column scalars, with up to two cells changed."""
+    target = draw(st.lists(st.lists(small, min_size=4, max_size=4), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        cell = st.builds(Fraction, small, st.integers(1, 6))
+        computed = draw(st.lists(st.lists(cell, min_size=4, max_size=4), min_size=4, max_size=4))
+    else:
+        rows = draw(st.lists(nonzero_fractions, min_size=4, max_size=4))
+        cols = draw(st.lists(nonzero_fractions, min_size=4, max_size=4))
+        computed = [[x / (rows[p] * cols[q]) for q, x in enumerate(row)]
+                    for p, row in enumerate(target)]
+        for _ in range(draw(st.integers(0, 2))):
+            p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            computed[p][q] = draw(st.builds(Fraction, small, st.integers(1, 6)))
+    return computed, target
+
+
+@settings(max_examples=500, deadline=None)
+@given(scaling_cases())
+def test_scaling_match_equals_the_gauge_solve(case):
+    from prymgauss.induction import _scaling_match
+    computed, target = case
+    assert _scaling_match(computed, target) is gauge_scaling_match(computed, target)
+
+
+@pytest.mark.parametrize("a", [2, 3, Fraction(-5, 7), Fraction(9, 2), -1, Fraction(11, 3)])
+def test_scaling_match_equals_the_gauge_solve_on_family_blocks(a):
+    from prymgauss.induction import _scaling_match
+    for g in (*range(13, 61), 100, 101):
+        computed = [row[:4] for row in build_induction_submatrix(g, a)[:4]]
+        target = reference_matrix(g)
+        assert _scaling_match(computed, target) is gauge_scaling_match(computed, target), g
+
+
 @pytest.mark.parametrize("g,a", [(13, 2), (14, 2), (19, 3), (20, Fraction(-5, 7))])
 def test_tau_closed_form_matches(g, a):
     assert check_tau_closed_form(build_induction_submatrix(g, a), tau_closed_form(g, a))

@@ -513,32 +513,59 @@ def test_echelon_rank_matches_the_reference(rows):
 @settings(max_examples=200, deadline=None)
 @given(residue_arrays() | deficient_prefix_arrays())
 def test_rank_mod_p_of_rows_matches_the_reference(rows):
-    # rows are reduced whole, then eliminated on their square prefix first
+    # rows are reduced whole, then eliminated in blocks of ncols rows
+    assert rank_mod_p(rows, P) == reference_rank_mod_p(rows, P)
+
+
+@st.composite
+def multi_block_arrays(draw):
+    """Arrays of more than 2 ncols rows, so that rank_mod_p runs three or
+    more blocks of ncols rows, whose first one or two blocks are jointly
+    deficient: of rank at most ncols - 1 throughout, or reaching full rank
+    in a middle block (a permuted identity block, then at least one row)."""
+    ncols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(products(draw(st.integers(2 * ncols + 1, 4 * ncols)), ncols, ncols - 1))
+    head_blocks = draw(st.integers(1, 2))
+    head = draw(products(head_blocks * ncols, ncols, ncols - 1))
+    units = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    tail = draw(st.lists(st.lists(residues, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=(3 - head_blocks) * ncols))
+    return head + draw(st.permutations(units)) + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_block_arrays())
+def test_rank_mod_p_continues_over_row_blocks(rows):
     assert rank_mod_p(rows, P) == reference_rank_mod_p(rows, P)
 
 
 def spy_assemble_mod_p(monkeypatch):
-    """Record the row count of every image rank_mod_p builds (None: whole)."""
+    """Record the row range of every block rank_mod_p builds."""
     built = []
 
-    def spy(curve, p, nrows=None):
-        built.append(nrows)
-        return assemble_mod_p(curve, p, nrows)
+    def spy(curve, p, rows=slice(None)):
+        built.append(rows)
+        return assemble_mod_p(curve, p, rows)
     monkeypatch.setattr(rank_module, "assemble_mod_p", spy)
     return built
 
 
-@pytest.mark.parametrize("genus", [13, 16])
+@pytest.mark.parametrize("genus", [13, 16, 40])
 def test_rank_mod_p_builds_the_whole_image_after_a_deficient_prefix(monkeypatch, genus):
     # a1 = 2*a2 has rank 4g - 14, as Bareiss reads it above at g = 7..12 and on
-    # the g = 13 induction family curve (also a1 = 2*a2)
+    # the g = 13 induction family curve (also a1 = 2*a2).  Its rank stays below
+    # ncols, so every block is built: consecutive ranges of at most ncols rows
+    # from row 0 (four at g = 40), each row once.
     built = spy_assemble_mod_p(monkeypatch)
     a2 = seeded_params(genus, 0)[1]
     curve = build_curve(genus, [2 * x for x in a2], a2)
-    ncols = matrix_shape(genus)[1]
+    nrows, ncols = matrix_shape(genus)
     for p in FIELD_PRIMES[:3]:
         assert rank_mod_p(curve, p) == 4 * genus - 14
-        assert built == [ncols, None]
+        assert built == [slice(start, start + ncols) for start in range(0, nrows, ncols)]
+        lengths = [len(range(nrows)[rows]) for rows in built]
+        assert max(lengths) <= ncols and sum(lengths) == nrows
         built.clear()
 
 
@@ -547,7 +574,7 @@ def test_rank_mod_p_builds_only_the_prefix_of_a_maximal_curve(monkeypatch, genus
     built = spy_assemble_mod_p(monkeypatch)
     ncols = matrix_shape(genus)[1]
     assert rank_mod_p(build_curve(genus, *seeded_params(genus, seed)), P) == ncols
-    assert built == [ncols]
+    assert built == [slice(0, ncols)]
 
 
 def test_echelon_rank_deficient_prefix_example():
