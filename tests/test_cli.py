@@ -446,6 +446,10 @@ GOLDEN_STDOUT_SHA256 = {
     # pinned on the block that built the jets of both components
     "induction --g-min 13 --g-max 100 --a=-1 --a=-9/2 --a=11/3":
         "2fd90d52cc043f502c7d76d77977dea622cdb41dd8e901bee4dad840469a3e0e",
+    # the byte-pinned range beyond g = 100, pinned on the block built once per
+    # value of a (before one a-free block per genus)
+    "induction --g-min 101 --g-max 200":
+        "9d94262951ef596760eaf3c7a102f3433ae6923222895e83496035d753f0e629",
     # pinned before the commands shared one report runner
     "oracle --genus 9 --seed 3":
         "7083a05c60c51097a3dab6d1b021be1241e6d0e72fd6a8be06ffbffcd3ef7b58",
