@@ -28,16 +28,20 @@ i > k (`coeff_pair` divides both by A2).  Differentiating d times,
 alpha^(d)_{i,1}(a r) = sigma_i a^(g-1-d) alpha^(d)_{i,2}(r).  So with
 s = sigma_i sigma_j and the component-2 values
 nu = alpha_i alpha_j' - alpha_j alpha_i', nu' = alpha_i alpha_j'' - alpha_j alpha_i'',
-column (i, j) is
+the block is a fixed row scaling of one a-free block B(g),
 
-    s a^(2g-3) nu,  s a^(2g-4) nu',  nu,  nu',
-    (sigma_j - sigma_i) a^(g-2) alpha_i' alpha_j',
+    block(g, a) = diag(a^(2g-3), a^(2g-4), 1, 1, a^(g-2)) B(g),
+    columns of B(g):  s nu,  s nu',  nu,  nu',  (sigma_j - sigma_i) alpha_i' alpha_j',
 
-each entry one Fraction of integers: the values at the node of the nu
-blocks of `assemble_matrix`, of their derivatives and of its tau column
-(tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1} alpha'_{j,2}) at P_r on the
-same curve.  The tests check the block against a sympy construction of the
-coordinates and the rescaling on both components.
+since component 2's parameters 1..g-1 do not involve a.  The rows are the
+values at P_r of the nu blocks of `assemble_matrix`, of their derivatives
+and of its tau column (tau = alpha'_{j,1} alpha'_{i,2} - alpha'_{i,1}
+alpha'_{j,2}), checked in the tests against a sympy construction.  So
+det5(a) = a^(5g-9) det B(g): one nonzero det B(g) shows det5 != 0 for every
+a != 0 at that genus, and `sweep` builds B(g), its determinant and the 4x4
+diagnostic once per genus.  Neither diagnostic below depends on a: the 4x4
+one is a rank-1 scaling test, which nonzero row scalars keep, and tau(P_r)
+and its closed form share a^(g-2).
 
 Both nu rows of the last column vanish (its indices avoid r), so
 det5 = +/- tau * det4, where det4 is the upper-left 4x4 block.  The verdict
@@ -72,14 +76,20 @@ from .exact import RationalLike, format_rational, parse_rational
 from .rank import det_exact
 
 
-def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
-    """The induction family a_{i,1} = i*a, a_{i,2} = i, paper convention.  With
-    a != 0 each row is nonzero and distinct, so the rows are not checked again."""
-    a = parse_rational(a)
-    if a in (0, 1):
+def _family_values(genus: int, a_values: Sequence[RationalLike]) -> list[Fraction]:
+    """The family values as Fractions; 0 or 1 is refused first, then genus < 13."""
+    values = [parse_rational(a) for a in a_values]
+    if any(a in (0, 1) for a in values):
         raise ValueError("family parameter a must avoid 0 and 1")
     if genus < 13:
         raise ValueError(f"the induction step starts at genus 13, got {genus}")
+    return values
+
+
+def family_curve(genus: int, a: RationalLike) -> PrymBinaryCurve:
+    """The induction family a_{i,1} = i*a, a_{i,2} = i, paper convention.  With
+    a != 0 each row is nonzero and distinct, so the rows are not checked again."""
+    a, = _family_values(genus, [a])
     a1 = [Fraction(i * a.numerator, a.denominator) for i in range(1, genus)]
     a2 = [Fraction(i) for i in range(1, genus)]
     return PrymBinaryCurve(genus, a1, a2, "paper")
@@ -93,28 +103,30 @@ def selected_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     return ((2, k + 1), (3, k + 1), (k + 1, genus - 2), (k + 1, genus - 1), (k - 1, k + 2))
 
 
-def build_induction_submatrix(genus: int, a: RationalLike) -> tuple[tuple[Fraction, ...], ...]:
-    """The 5x5 block as its rows: column q belongs to the q-th pair of
-    `selected_pairs(genus)`, rows nu_1, nu_1', nu_2, nu_2' and tau.  One
-    `alpha_jets` call on component 2; component 1's rows are its rescaling by
-    powers of a (module docstring), so no polynomial and no second jet pass."""
-    curve = family_curve(genus, a)
-    p, q = curve.a1[0].numerator, curve.a1[0].denominator      # a_{1,1} = a
-    r = projection_node_index(genus)
-    pairs = selected_pairs(genus)
-    jets = curve.alpha_jets(2, curve.a2[r - 1], {i for pair in pairs for i in pair})
+def _a_free_block(genus: int) -> tuple[tuple[Fraction, ...], ...]:
+    """B(g), the block with its powers of a divided out (module docstring), as its
+    rows: one `alpha_jets` call on component 2 (1..g-1; component 1 is never read)."""
+    row = [Fraction(i) for i in range(1, genus)]
+    curve = PrymBinaryCurve(genus, row, row, "paper")
+    r, pairs = projection_node_index(genus), selected_pairs(genus)
+    jets = curve.alpha_jets(2, row[r - 1], {i for pair in pairs for i in pair})
     sigma = {i: 1 if i <= curve.k else -1 for i in jets}
-    p_tau, q_tau = p ** (genus - 2), q ** (genus - 2)
-    p_nu, q_nu = p_tau * p_tau, q_tau * q_tau                  # a^(2g-4)
     cols = []
     for (i, j) in pairs:
         (ai, di, ddi, den_i), (aj, dj, ddj, den_j) = jets[i], jets[j]
-        nu, dnu, den = ai * dj - aj * di, ai * ddj - aj * ddi, den_i * den_j
-        s = sigma[i] * sigma[j]
-        cols.append((Fraction(s * p_nu * p * nu, q_nu * q * den),
-                     Fraction(s * p_nu * dnu, q_nu * den), Fraction(nu, den), Fraction(dnu, den),
-                     Fraction((sigma[j] - sigma[i]) * p_tau * di * dj, q_tau * den)))
+        den, s = den_i * den_j, sigma[i] * sigma[j]
+        nu, dnu = Fraction(ai * dj - aj * di, den), Fraction(ai * ddj - aj * ddi, den)
+        cols.append((s * nu, s * dnu, nu, dnu, Fraction((sigma[j] - sigma[i]) * di * dj, den)))
     return tuple(zip(*cols))
+
+
+def build_induction_submatrix(genus: int, a: RationalLike) -> tuple[tuple[Fraction, ...], ...]:
+    """The 5x5 block as its rows: column q belongs to the q-th pair of
+    `selected_pairs(genus)`, rows nu_1, nu_1', nu_2, nu_2' and tau.  It is
+    B(g) with its rows scaled by a^(2g-3), a^(2g-4), 1, 1 and a^(g-2)."""
+    a, = _family_values(genus, [a])
+    scales = (a ** (2 * genus - 3), a ** (2 * genus - 4), 1, 1, a ** (genus - 2))
+    return tuple(tuple(w * x for x in row) for w, row in zip(scales, _a_free_block(genus)))
 
 
 def reference_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
@@ -181,8 +193,8 @@ def tau_closed_form(genus: int, a: RationalLike) -> Fraction:
 
 def check_tau_closed_form(block: Sequence[Sequence[Fraction]], closed: Fraction) -> bool:
     """Exact comparison of tau at the projection node (the block's entry
-    [4][4]) with its closed form `closed`, which is tau_closed_form(genus, a)
-    for the block's genus and a, plus the nonvanishing assertion."""
+    [4][4]) with its closed form `closed`, tau_closed_form(genus, a) for the
+    block's genus and a (a = 1 for B(g)), plus the nonvanishing assertion."""
     value = block[4][4]
     return value != 0 and value == closed
 
@@ -206,47 +218,43 @@ class InductionReport:
         return self.det5_nonzero and self.tau_closed_form_matches
 
     def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "parity": self.parity,
-            "a": format_rational(self.a),
-            "node_index": self.node_index,
-            "selected_columns": [list(p) for p in self.selected_columns],
-            "det5": format_rational(self.det5),
-            "det5_nonzero": self.det5_nonzero,
-            "scaled4x4_matches": self.scaled4x4_matches,
-            "tau_closed_form_matches": self.tau_closed_form_matches,
-            "tau_sign_matches_display": self.tau_sign_matches_display,
-        }
+        """The fields in their order, rationals as strings and pairs as lists."""
+        return {**vars(self), "a": format_rational(self.a), "det5": format_rational(self.det5),
+                "selected_columns": [list(p) for p in self.selected_columns]}
+
+
+def _reports(genus: int, a_values: Sequence[RationalLike]) -> list[InductionReport]:
+    """One report per value of a at one genus: B(g), its determinant and the
+    scaling diagnostic are computed once, then scaled by powers of each a."""
+    values, block = _family_values(genus, a_values), _a_free_block(genus)
+    det = det_exact(block)
+    shared = dict(genus=genus, parity="even" if genus % 2 == 0 else "odd",
+                  node_index=projection_node_index(genus), selected_columns=selected_pairs(genus),
+                  scaled4x4_matches=check_scaled_matrix(block, genus))
+    reports = []
+    for a in values:
+        # tau(P_r) is a^(g-2) times B(g)'s, so B(g)'s is held to the closed form
+        # over a^(g-2).  The even-parity closed form is usually displayed for the
+        # swapped torsion order, i.e. with the opposite sign.
+        closed = tau_closed_form(genus, a) / a ** (genus - 2)
+        displayed = -closed if genus % 2 == 0 else closed
+        det5 = a ** (5 * genus - 9) * det
+        reports.append(InductionReport(
+            a=a, det5=det5, det5_nonzero=det5 != 0,
+            tau_closed_form_matches=check_tau_closed_form(block, closed),
+            tau_sign_matches_display=(block[4][4] == displayed), **shared))
+    return reports
 
 
 def verify_det5(genus: int, a: RationalLike) -> InductionReport:
-    """The verdict (det5, tau(P_r) against its closed form) and both diagnostics.
-
-    An inconclusive scaling diagnostic is reported as None.
-    """
-    a = parse_rational(a)
-    block = build_induction_submatrix(genus, a)
-    det5 = det_exact(block)
-    closed = tau_closed_form(genus, a)
-    # Display convention: the even-parity closed form is usually quoted for
-    # the swapped torsion order, i.e. with the opposite sign.
-    displayed = -closed if genus % 2 == 0 else closed
-    return InductionReport(
-        genus=genus, parity="even" if genus % 2 == 0 else "odd", a=a,
-        node_index=projection_node_index(genus), selected_columns=selected_pairs(genus),
-        det5=det5, det5_nonzero=det5 != 0,
-        scaled4x4_matches=check_scaled_matrix(block, genus),
-        tau_closed_form_matches=check_tau_closed_form(block, closed),
-        tau_sign_matches_display=(block[4][4] == displayed),
-    )
+    """The verdict (det5, tau(P_r) against its closed form) and both diagnostics,
+    the one-value case of `sweep`.  An inconclusive diagnostic is reported as None."""
+    return _reports(genus, [a])[0]
 
 
 def sweep(g_min: int, g_max: int, a_values: Sequence[RationalLike]) -> list[InductionReport]:
-    """One report per (genus, a), ordered by (genus, a)."""
+    """One report per (genus, a), ordered by (genus, a); the a-free work is
+    done once per genus."""
     values = sorted({parse_rational(a) for a in a_values})
-    reports = []
-    for genus in range(g_min, g_max + 1):
-        for a in values:
-            reports.append(verify_det5(genus, a))
-    return reports
+    return [report for genus in range(g_min, g_max + 1) if values
+            for report in _reports(genus, values)]

@@ -13,6 +13,7 @@ from prymgauss.induction import reference_matrix
 from prymgauss import curves, gaussmap
 from prymgauss import induction as induction_module
 from prymgauss.curves import projection_node_index
+from prymgauss.exact import format_rational
 from prymgauss.rank import det_exact
 from sympy_reference import Reference, evaluate
 
@@ -324,19 +325,31 @@ def test_verify_det5_builds_no_polynomial(monkeypatch):
         assert report.ok and report.scaled4x4_matches is True
 
 
-def test_verify_det5_makes_one_jet_pass_on_component_2(monkeypatch):
-    # component 1's rows are component 2's rescaled by powers of a
-    calls = []
+def test_sweep_makes_one_jet_pass_and_one_determinant_per_genus(monkeypatch):
+    # component 1's rows are component 2's rescaled by powers of a, and the
+    # a-free block B(g) is built and its determinant taken once per genus
+    calls, dets = [], []
     alpha_jets = curves.PrymBinaryCurve.alpha_jets
 
     def spy(self, eps, x, indices):
         calls.append((eps, x))
         return alpha_jets(self, eps, x, indices)
+
+    def det_spy(block):
+        dets.append(block)
+        return det_exact(block)
     monkeypatch.setattr(curves.PrymBinaryCurve, "alpha_jets", spy)
+    monkeypatch.setattr(induction_module, "det_exact", det_spy)
     for g, a in ((13, 2), (14, Fraction(-5, 7)), (41, Fraction(9, 2)), (100, -1)):
         calls.clear()
         assert verify_det5(g, a).ok
         assert calls == [(2, projection_node_index(g))], (g, a)
+        calls.clear()
+        dets.clear()
+        reports = induction_sweep(g, g, [2, 3, Fraction(-5, 7), a])
+        assert len(reports) == len({2, 3, Fraction(-5, 7), a}) and all(r.ok for r in reports)
+        assert calls == [(2, projection_node_index(g))], (g, a)
+        assert len(dets) == 1, (g, a)
 
 
 def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
@@ -349,8 +362,95 @@ def test_inconclusive_diagnostic_is_reported_once_as_none(monkeypatch):
     report = verify_det5(14, 2)
     assert report.scaled4x4_matches is None
     assert report.to_json_dict()["scaled4x4_matches"] is None
-    assert calls == [(build_induction_submatrix(14, 2), 14)]
+    assert calls == [(induction_module._a_free_block(14), 14)]
     assert report.ok                       # diagnostics never override det5
+    # once per genus, on B(g), and every report of that genus reads None
+    calls.clear()
+    reports = induction_sweep(14, 15, [2, 3, Fraction(-5, 7)])
+    assert calls == [(induction_module._a_free_block(g), g) for g in (14, 15)]
+    assert len(reports) == 6 and all(r.ok for r in reports)
+    assert all(r.scaled4x4_matches is None and r.to_json_dict()["scaled4x4_matches"] is None
+               for r in reports)
+
+
+def test_refusals_and_their_order():
+    a_error, genus_error = "family parameter a must avoid 0 and 1", "the induction step starts"
+    for call, message in [(lambda: induction_sweep(5, 13, [1]), a_error),
+                          (lambda: induction_sweep(5, 13, [2]), genus_error + " at genus 13, got 5"),
+                          (lambda: induction_sweep(13, 13, [2, 1]), a_error),
+                          # every value is checked before the genus
+                          (lambda: induction_sweep(5, 13, [-1, 1]), a_error),
+                          (lambda: verify_det5(12, 2), genus_error + " at genus 13, got 12"),
+                          (lambda: verify_det5(13, 0), a_error),
+                          (lambda: build_induction_submatrix(12, 1), a_error),
+                          (lambda: build_induction_submatrix(12, 2), genus_error),
+                          (lambda: family_curve(12, 0), a_error)]:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value).startswith(message), message
+    assert induction_sweep(14, 13, [1]) == []
+    assert induction_sweep(5, 13, []) == []
+
+
+def reference_block(genus, a):
+    """The 5x5 block built for one value of a from the family curve: component
+    1's rows are component 2's jets times powers of a_{1,1} = a."""
+    curve = family_curve(genus, a)
+    p, q = curve.a1[0].numerator, curve.a1[0].denominator      # a_{1,1} = a
+    r = projection_node_index(genus)
+    pairs = selected_pairs(genus)
+    jets = curve.alpha_jets(2, curve.a2[r - 1], {i for pair in pairs for i in pair})
+    sigma = {i: 1 if i <= curve.k else -1 for i in jets}
+    p_tau, q_tau = p ** (genus - 2), q ** (genus - 2)
+    p_nu, q_nu = p_tau * p_tau, q_tau * q_tau                  # a^(2g-4)
+    cols = []
+    for (i, j) in pairs:
+        (ai, di, ddi, den_i), (aj, dj, ddj, den_j) = jets[i], jets[j]
+        nu, dnu, den = ai * dj - aj * di, ai * ddj - aj * ddi, den_i * den_j
+        s = sigma[i] * sigma[j]
+        cols.append((Fraction(s * p_nu * p * nu, q_nu * q * den),
+                     Fraction(s * p_nu * dnu, q_nu * den), Fraction(nu, den), Fraction(dnu, den),
+                     Fraction((sigma[j] - sigma[i]) * p_tau * di * dj, q_tau * den)))
+    return tuple(zip(*cols))
+
+
+def reference_report(genus, a):
+    """The report of one (genus, a) from `reference_block` alone."""
+    block = reference_block(genus, a)
+    det5, closed = det_exact(block), tau_closed_form(genus, a)
+    return {"genus": genus, "parity": "even" if genus % 2 == 0 else "odd",
+            "a": format_rational(Fraction(a)), "node_index": projection_node_index(genus),
+            "selected_columns": [list(p) for p in selected_pairs(genus)],
+            "det5": format_rational(det5), "det5_nonzero": det5 != 0,
+            "scaled4x4_matches": check_scaled_matrix(block, genus),
+            "tau_closed_form_matches": check_tau_closed_form(block, closed),
+            "tau_sign_matches_display": block[4][4] == (-closed if genus % 2 == 0 else closed)}
+
+
+GRID_VALUES = (2, 3, Fraction(-5, 7), -1, Fraction(-9, 2), Fraction(11, 3), 8, 9,
+               Fraction(4, 5), Fraction(1, 2), -2)
+
+
+@pytest.mark.parametrize("a", GRID_VALUES, ids=str)
+def test_block_is_the_row_scaled_a_free_block(a):
+    for g in (*range(13, 61), 100, 101):
+        assert build_induction_submatrix(g, a) == reference_block(g, a), g
+
+
+def test_sweep_reports_equal_the_per_value_reports():
+    reports = induction_sweep(13, 20, GRID_VALUES)
+    assert [r.to_json_dict() for r in reports] == [
+        reference_report(g, a) for g in range(13, 21) for a in sorted(GRID_VALUES)]
+
+
+large_family_values = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                                st.integers(1, 10**6)).filter(lambda a: a != 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((13, 14, 41, 100)), large_family_values)
+def test_report_equals_the_per_value_reference(g, a):
+    assert verify_det5(g, a).to_json_dict() == reference_report(g, a)
 
 
 def test_check_tau_closed_form_reads_the_given_block():
